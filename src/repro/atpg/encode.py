@@ -7,6 +7,15 @@ frame ``t``.  With a single frame and no initial-state constraint the
 encoding is the plain combinational view in which register outputs act as
 free pseudo-inputs -- exactly what combinational ATPG needs.
 
+A *guarded* unrolling (the one every :class:`SolverSession` builds)
+instead conditions each register's transition and initial-value clauses
+on a per-register activation literal, and the initial-value clauses on
+one more init literal.  A query then selects an abstract model by the
+registers it activates: active registers follow their next-state
+function, inactive ones are free in every frame -- exactly the
+pseudo-inputs of the subcircuit ``extract_subcircuit`` would build for
+that register set (Section 2.1).
+
 The per-frame clauses come from the kernel's cached
 :class:`~repro.kernel.scache.FrameTemplate`: the circuit's one-frame CNF
 is derived once (per structural fingerprint, shared across the identical
@@ -44,6 +53,11 @@ class Unroller:
     initial_state:
         Optional explicit (partial) initial state overriding the declared
         init values.
+    guarded:
+        Condition the register clauses on activation literals (see the
+        module docstring).  The initial-value clauses are then encoded
+        whatever ``use_initial_state`` says; the query decides whether to
+        assume :attr:`init_lit`.
     """
 
     def __init__(
@@ -52,6 +66,7 @@ class Unroller:
         cycles: int,
         use_initial_state: bool = True,
         initial_state: Optional[Mapping[str, int]] = None,
+        guarded: bool = False,
     ) -> None:
         if cycles < 1:
             raise ValueError("cycles must be >= 1")
@@ -60,22 +75,53 @@ class Unroller:
         self.cnf = CNF()
         self._vars: List[Dict[str, int]] = []
         self._template = frame_template(circuit)
+        self.guarded = guarded
+        self._act: Dict[str, int] = {}
+        init = self.initial_values(circuit, use_initial_state or guarded,
+                                   initial_state)
         with PERF.timed("kernel.unroll"):
-            for frame in range(cycles):
+            self._append_frame(0)
+            if guarded:
+                # Allocated after frame 0 so that a one-frame query sees
+                # the same frame numbering as an unguarded encoding.
+                self.all_lit = self.cnf.new_var("@all")
+                self.init_lit = self.cnf.new_var("@init")
+                for name in circuit.registers:
+                    act = self.cnf.new_var(f"{name}@act")
+                    self._act[name] = act
+                    self.cnf.add_implies(self.all_lit, act)
+                for name, value in init.items():
+                    self.cnf.add_clause(
+                        [-self.init_lit, -self._act[name],
+                         self.lit(name, 0, value)]
+                    )
+            for frame in range(1, cycles):
                 self._append_frame(frame)
+        if not guarded:
+            for name, value in init.items():
+                self.cnf.add_unit(self.lit(name, 0, value))
+
+    @staticmethod
+    def initial_values(
+        circuit: Circuit,
+        use_initial_state: bool = True,
+        initial_state: Optional[Mapping[str, int]] = None,
+    ) -> Dict[str, int]:
+        """The frame-0 register values a query constrains: the explicit
+        ``initial_state`` if given, else the declared init values when
+        ``use_initial_state``, else none."""
         if initial_state is not None:
-            for name, value in initial_state.items():
+            for name in initial_state:
                 if not circuit.is_register_output(name):
                     raise ValueError(f"{name!r} is not a register output")
-                self.cnf.add_unit(
-                    self.lit(name, 0) if value else -self.lit(name, 0)
-                )
-        elif use_initial_state:
-            for name, reg in circuit.registers.items():
-                if reg.init is not None:
-                    self.cnf.add_unit(
-                        self.lit(name, 0) if reg.init else -self.lit(name, 0)
-                    )
+            return {name: int(value) for name, value in initial_state.items()}
+        if not use_initial_state:
+            return {}
+        return {
+            name: reg.init
+            for name, reg in circuit.registers.items()
+            if reg.init is not None
+        }
 
     # ------------------------------------------------------------------
 
@@ -85,7 +131,21 @@ class Unroller:
         if frame > 0:
             previous = self._vars[frame - 1]
             for name, reg in self.circuit.registers.items():
-                self.cnf.add_equiv(frame_vars[name], previous[reg.data])
+                if self.guarded:
+                    self._add_transition(
+                        self._act[name], frame_vars[name], previous[reg.data]
+                    )
+                else:
+                    self.cnf.add_equiv(frame_vars[name], previous[reg.data])
+
+    def _add_transition(self, act: int, out: int, data: int) -> None:
+        """``act -> (out <-> data)``: one register's guarded transition."""
+        self.cnf.add_clause([-act, -out, data])
+        self.cnf.add_clause([-act, out, -data])
+
+    def act_lit(self, register: str) -> int:
+        """The activation literal of a register (guarded unrollings)."""
+        return self._act[register]
 
     def extend_to(self, cycles: int) -> int:
         """Grow the unrolling to ``cycles`` time frames, appending only
@@ -163,6 +223,14 @@ class SolverSession:
     Growing the unrolling beyond a query's depth is sound and complete
     for that query: the transition function is total, so frames past the
     queried prefix never constrain it.
+
+    The unrolling is guarded (see the module docstring): every query
+    names its abstract model through ``active``, the registers that
+    follow their next-state function (``None`` -- every register).  The
+    rest act as pseudo-inputs, so one session over a cone-of-influence
+    circuit answers for every abstract model inside it, and what a query
+    learns is a consequence of the guarded clauses, valid for all of
+    them.
     """
 
     def __init__(
@@ -175,9 +243,11 @@ class SolverSession:
         self.unroller = Unroller(
             circuit,
             cycles,
-            use_initial_state=use_initial_state,
             initial_state=initial_state,
+            guarded=True,
         )
+        #: whether queries assume the unroller's init literal
+        self.initialized = use_initial_state or initial_state is not None
         self.solver = Solver()
         self.solver.attach(self.unroller.cnf)
         self.solver.absorb()
@@ -211,14 +281,48 @@ class SolverSession:
         self._prefixes += 1
         return f"{stem}#{self._prefixes}"
 
-    def solve(self, assumptions: Sequence[int] = (), **kwargs) -> SatResult:
-        """Solve under assumptions, accounting reuse to the kernel perf
-        counters: from the second query on, every problem clause already
-        in the solver is one the caller did not re-encode, and every
-        retained learned clause is inherited search effort."""
+    def activation(self, active: Optional[Iterable[str]] = None) -> List[int]:
+        """Assumption literals selecting the abstract model whose kept
+        registers are ``active`` (``None`` -- all of them), plus the init
+        literal when the session starts from the initial state.  Ordered
+        by the circuit's register order, so a query's assumptions never
+        depend on set iteration order."""
+        unroller = self.unroller
+        if active is None:
+            lits = [unroller.all_lit]
+        else:
+            chosen = set(active)
+            unknown = chosen.difference(self.circuit.registers)
+            if unknown:
+                raise KeyError(
+                    f"active registers not in circuit "
+                    f"{self.circuit.name!r}: {sorted(unknown)}"
+                )
+            lits = [
+                unroller.act_lit(name)
+                for name in self.circuit.registers
+                if name in chosen
+            ]
+        if self.initialized:
+            lits.append(unroller.init_lit)
+        return lits
+
+    def solve(
+        self,
+        assumptions: Sequence[int] = (),
+        active: Optional[Iterable[str]] = None,
+        **kwargs,
+    ) -> SatResult:
+        """Solve under assumptions on the abstract model ``active``
+        selects, accounting reuse to the kernel perf counters: from the
+        second query on, every problem clause already in the solver is
+        one the caller did not re-encode, and every retained learned
+        clause is inherited search effort."""
         self.solver.absorb()
         self.queries += 1
         if self.queries > 1:
             PERF.bump("sat.clauses_reused", self.solver.num_clauses)
             PERF.bump("sat.learned_retained", self.solver.num_learned)
-        return self.solver.solve(assumptions=assumptions, **kwargs)
+        return self.solver.solve(
+            assumptions=self.activation(active) + list(assumptions), **kwargs
+        )

@@ -13,6 +13,13 @@ units, and learned clauses carry over between ATPG targets on the same
 circuit -- and across the BMC and CEGAR callers that share the session
 signature.  ``incremental=False`` restores the historical
 fresh-solver-per-call behavior.
+
+Sequential ATPG can also answer on an abstract model *inside* the given
+circuit: ``active`` names the registers that keep their next-state
+function, and the session's activation literals free the rest (see
+:mod:`repro.atpg.encode`).  The simulator cross-check then drives the
+inactive registers from the decoded trace, cycle by cycle, and holds
+the active ones to simulation and to their initial values.
 """
 
 from __future__ import annotations
@@ -126,6 +133,7 @@ def sequential_atpg(
     skip_missing: bool = False,
     verify: bool = True,
     incremental: bool = True,
+    active: Optional[Iterable[str]] = None,
 ) -> AtpgResult:
     """Search for a ``cycles``-cycle trace satisfying per-cycle cubes.
 
@@ -133,7 +141,9 @@ def sequential_atpg(
     circuit (state, input or internal).  With ``skip_missing`` enabled,
     cube entries naming signals absent from the circuit are ignored --
     used when replaying an abstract-model trace on a differently-sized
-    subcircuit.
+    subcircuit.  ``active`` restricts the transition relation to those
+    registers (the others are free in every cycle); ``None`` keeps all.
+    Only the incremental path's guarded session can answer for a subset.
     """
     with obs.span(
         "atpg.sequential", cycles=cycles, incremental=incremental
@@ -148,6 +158,7 @@ def sequential_atpg(
             skip_missing=skip_missing,
             verify=verify,
             incremental=incremental,
+            active=active,
         )
         phase.set(
             result=result.outcome.value,
@@ -169,8 +180,13 @@ def _sequential_atpg(
     skip_missing: bool = False,
     verify: bool = True,
     incremental: bool = True,
+    active: Optional[Iterable[str]] = None,
 ) -> AtpgResult:
     assumptions: List[int] = []
+    if active is not None:
+        if not incremental:
+            raise ValueError("an active register set needs a solver session")
+        active = frozenset(active)
     if incremental:
         session = solver_session(
             circuit,
@@ -204,7 +220,9 @@ def _sequential_atpg(
                 unroller.cnf.add_unit(lit)
     budget = budget or AtpgBudget()
     if session is not None:
-        result = session.solve(assumptions, **budget.solve_kwargs())
+        result = session.solve(
+            assumptions, active=active, **budget.solve_kwargs()
+        )
     else:
         result = Solver(unroller.cnf).solve(**budget.solve_kwargs())
     if result.status is SatStatus.UNSAT:
@@ -226,7 +244,12 @@ def _sequential_atpg(
             unroller.decode_inputs(result.model, cycle),
         )
     if verify:
-        _check_trace(circuit, trace, cube_map, skip_missing)
+        initial = Unroller.initial_values(
+            circuit, use_initial_state, initial_state
+        )
+        _check_trace(
+            circuit, trace, cube_map, skip_missing, active, initial
+        )
     return AtpgResult(
         AtpgOutcome.TRACE_FOUND,
         trace=trace,
@@ -318,17 +341,37 @@ def _check_trace(
     trace: Trace,
     cube_map: Dict[int, Dict[str, int]],
     skip_missing: bool,
+    active: Optional[Iterable[str]] = None,
+    initial: Optional[Mapping[str, int]] = None,
 ) -> None:
     """Simulate the extracted trace and assert every cube holds.
+
+    Registers outside ``active`` (``None`` -- all registers are active)
+    are pseudo-inputs of the queried model, so each cycle drives them
+    from the trace; active registers must match their ``initial`` values
+    at cycle 0 and the simulated next state after that.
 
     This is an internal consistency check between the CNF encoding and the
     simulator; a failure indicates a bug, not an analysis result.
     """
     sim = Simulator(circuit)
+    free = (
+        []
+        if active is None
+        else [name for name in circuit.registers if name not in active]
+    )
     state = dict(trace.states[0])
+    for name, expected in (initial or {}).items():
+        if (active is None or name in active) and state[name] != expected:
+            raise AssertionError(
+                f"trace/initial-state mismatch for {name!r}: trace "
+                f"{state[name]}, initial value {expected}"
+            )
     for cycle in range(trace.length):
+        decoded = trace.states[cycle]
+        state.update({name: decoded[name] for name in free})
         values, next_state = sim.step(state, trace.inputs[cycle])
-        for name, expected in trace.states[cycle].items():
+        for name, expected in decoded.items():
             if values[name] != expected:
                 raise AssertionError(
                     f"trace/simulation mismatch for state {name!r} at cycle "

@@ -25,8 +25,8 @@ from typing import Iterable, List, Optional, Sequence
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, AtpgResult, sequential_atpg
 from repro.core.property import UnreachabilityProperty
 from repro.trace import Trace
+from repro.kernel.scache import coi_circuit
 from repro.netlist.circuit import Circuit
-from repro.netlist.ops import coi_registers, extract_subcircuit
 from repro.sim.logic3 import ONE, X
 from repro.sim.simulator import Simulator
 
@@ -109,10 +109,10 @@ def guided_concrete_search(
     trace becomes concrete enough to replay.
     """
     budget = budget or AtpgBudget()
-    coi = coi_registers(original, prop.signals())
-    reduced = extract_subcircuit(
-        original, coi, prop.signals(), name=f"{original.name}.coi"
-    )
+    # The COI circuit is memoized per design, and its pooled session is
+    # the one refinement probes query, so the searches of one CEGAR run
+    # share one unrolling and every clause learned on it.
+    reduced = coi_circuit(original, prop.signals())
     total_conflicts = 0
     result = None
     for trace in traces:

@@ -16,19 +16,28 @@ unsatisfiable on the refined model, discard the untouched rest, then try
 to remove each earlier addition, keeping it out only if the trace stays
 unsatisfiable.  If ATPG ever aborts on its budget, fail safe by keeping
 all candidates.
+
+Incrementally, every probe of phase 2 -- across both passes and every
+CEGAR iteration -- is one query on the pooled solver session over the
+property's cone-of-influence circuit: the candidate register set is the
+query's *active* set (:mod:`repro.atpg.encode`), so no probe extracts a
+subcircuit or builds a solver.  Probe answers are satisfiability facts
+about the candidate model, the same on either path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
 from repro.core.abstraction import Abstraction
 from repro.kernel.bitsim import BitParallelSimulator, pack_value, planes_value
 from repro.kernel.perf import PERF
+from repro.kernel.scache import coi_circuit
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
+from repro.netlist.ops import subcircuit_signals
 from repro.sim.logic3 import X
 
 
@@ -132,14 +141,25 @@ def trace_satisfiable_on(
     trace: Trace,
     budget: Optional[AtpgBudget] = None,
     incremental: bool = True,
+    active: Optional[Iterable[str]] = None,
 ) -> AtpgOutcome:
     """Is the error trace (as per-cycle constraint cubes) satisfiable on a
-    candidate abstract model?  Three-way ATPG answer."""
+    candidate abstract model?  Three-way ATPG answer.
+
+    The candidate is ``model`` itself, or -- given ``active`` -- the
+    abstract model of ``model`` that keeps the ``active`` registers,
+    ``model`` being a cone-of-influence circuit (its outputs are the
+    property signals).  The cubes keep only that model's signals."""
+    if active is None:
+        defined = model.is_defined
+    else:
+        active = frozenset(active)
+        defined = subcircuit_signals(model, active, model.outputs).__contains__
     cubes = {
         cycle: {
             name: value
             for name, value in trace.cube_at(cycle).items()
-            if model.is_defined(name)
+            if defined(name)
         }
         for cycle in range(trace.length)
     }
@@ -150,6 +170,7 @@ def trace_satisfiable_on(
         budget=budget,
         skip_missing=True,
         incremental=incremental,
+        active=active,
     )
     return result.outcome
 
@@ -163,11 +184,30 @@ def minimize_candidates(
 ) -> RefinementResult:
     """Phase 2: the greedy add-until-unsatisfiable / try-remove loop.
 
-    Each candidate model is structurally fingerprinted, so with
-    ``incremental`` the repeated trace-satisfiability probes on the same
-    register set (add pass vs. removal pass, and across CEGAR
-    iterations) reuse one pooled solver per model."""
+    With ``incremental`` every probe runs on the one pooled session over
+    the property's COI circuit, the candidate set as its active set;
+    otherwise each probe extracts its candidate model and solves it
+    with a fresh solver (the reference path)."""
     stats = RefinementStats(candidates=len(candidates), minimized=True)
+    coi = (
+        coi_circuit(abstraction.original, abstraction.prop.signals())
+        if incremental
+        else None
+    )
+    shared = coi is not None and abstraction.kept_registers.union(
+        candidates
+    ).issubset(coi.registers)
+
+    def probe(registers: List[str]) -> AtpgOutcome:
+        stats.atpg_calls += 1
+        if shared:
+            return trace_satisfiable_on(
+                coi, trace, budget, incremental,
+                active=abstraction.kept_registers.union(registers),
+            )
+        model = abstraction.with_registers(registers)
+        return trace_satisfiable_on(model, trace, budget, incremental)
+
     added: List[str] = []
     unsatisfiable = False
     runtime = budget.runtime if budget is not None else None
@@ -175,9 +215,7 @@ def minimize_candidates(
         if runtime is not None:
             runtime.checkpoint(engine="refine")
         added.append(register)
-        model = abstraction.with_registers(added)
-        stats.atpg_calls += 1
-        outcome = trace_satisfiable_on(model, trace, budget, incremental)
+        outcome = probe(added)
         if outcome is AtpgOutcome.UNSATISFIABLE:
             unsatisfiable = True
             break
@@ -194,9 +232,7 @@ def minimize_candidates(
         if runtime is not None:
             runtime.checkpoint(engine="refine")
         tentative = [r for r in kept if r != register]
-        model = abstraction.with_registers(tentative)
-        stats.atpg_calls += 1
-        outcome = trace_satisfiable_on(model, trace, budget, incremental)
+        outcome = probe(tentative)
         if outcome is AtpgOutcome.UNSATISFIABLE:
             kept = tentative  # still invalid without it: drop for good
     stats.selected = len(kept)

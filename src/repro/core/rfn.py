@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.atpg.engine import AtpgBudget
-from repro.engine import Verdict
+from repro.engine.verdict import Verdict
 from repro.core.abstraction import Abstraction
 from repro.core.guided import GuidedSearchResult, guided_concrete_search
 from repro.core.hybrid import HybridEngineError, HybridTraceEngine

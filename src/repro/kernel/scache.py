@@ -48,6 +48,7 @@ class _Entry:
         "frame_template",
         "fingerprint",
         "static_orders",
+        "coi_circuits",
     )
 
     def __init__(self, generation: int) -> None:
@@ -56,6 +57,7 @@ class _Entry:
         self.frame_template: Optional["FrameTemplate"] = None
         self.fingerprint: Optional[Tuple] = None
         self.static_orders: Dict[Tuple[str, ...], List[str]] = {}
+        self.coi_circuits: Dict[Tuple[str, ...], Circuit] = {}
 
 
 _ENTRIES: "weakref.WeakKeyDictionary[Circuit, _Entry]" = (
@@ -100,6 +102,27 @@ def fingerprint(circuit: Circuit) -> Tuple:
             ),
         )
     return entry.fingerprint
+
+
+def coi_circuit(circuit: Circuit, roots: Iterable[str]) -> Circuit:
+    """The cone-of-influence subcircuit of ``roots``: every register in
+    their COI kept, the rest of the design cut away.  Memoized per
+    circuit generation, so a CEGAR run extracts it once; treat the
+    result as read-only."""
+    from repro.netlist.ops import coi_registers, extract_subcircuit
+
+    entry = _entry(circuit)
+    key = tuple(roots)
+    sub = entry.coi_circuits.get(key)
+    if sub is None:
+        sub = extract_subcircuit(
+            circuit,
+            coi_registers(circuit, key),
+            key,
+            name=f"{circuit.name}.coi",
+        )
+        entry.coi_circuits[key] = sub
+    return sub
 
 
 # ----------------------------------------------------------------------
@@ -228,15 +251,21 @@ def frame_template(circuit: Circuit) -> FrameTemplate:
 # Incremental solver sessions
 # ----------------------------------------------------------------------
 
-# Pool of persistent Unroller+Solver pairs keyed by abstraction
-# signature: the structural fingerprint plus the encoding options that
-# become permanent clauses (initial-state handling) plus a caller tag
-# for sessions that assert extra permanent constraints (the BMC
-# induction loop).  Pool hits hand the caller a solver whose clause
-# database -- problem clauses *and* learned clauses -- survives from
-# earlier BMC depths, ATPG targets and CEGAR iterations.  Generation
-# invalidation rides on the fingerprint: a mutated circuit fingerprints
-# differently, so its stale sessions simply age out of the LRU.
+# Pool of persistent Unroller+Solver pairs keyed by circuit signature:
+# the structural fingerprint plus the start-state convention plus a
+# caller tag for sessions that assert extra permanent constraints (the
+# BMC induction loop).  Sessions are guarded (atpg.encode), so the one
+# session over a property's COI circuit answers for every abstract model
+# inside it -- refinement probes and guided search pick theirs by active
+# register set.  The start-state convention stays in the key although
+# the encoding no longer depends on it: a free-start session (the hybrid
+# engine's justification calls) then never inherits learned clauses from
+# initialized queries, which would steer the models it returns.  Pool
+# hits hand the caller a solver whose clause database -- problem clauses
+# *and* learned clauses -- survives from earlier BMC depths, ATPG
+# targets and CEGAR iterations.  Generation invalidation rides on the
+# fingerprint: a mutated circuit fingerprints differently, so its stale
+# sessions simply age out of the LRU.
 _SESSIONS: "OrderedDict[Tuple, object]" = OrderedDict()
 _SESSION_LRU_SIZE = 16
 

@@ -45,9 +45,8 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.atpg.encode import SolverSession, Unroller
 from repro.core.property import UnreachabilityProperty
-from repro.kernel.scache import solver_session
+from repro.kernel.scache import coi_circuit, solver_session
 from repro.netlist.circuit import Circuit
-from repro.netlist.ops import coi_registers, extract_subcircuit
 from repro.obs import tracer as obs
 from repro.sat.solver import SatStatus, Solver
 from repro.trace import Trace
@@ -393,10 +392,7 @@ def _bmc_run(
     prop.validate_against(circuit)
     model = circuit
     if use_coi:
-        coi = coi_registers(circuit, prop.signals())
-        model = extract_subcircuit(
-            circuit, coi, prop.signals(), name=f"{circuit.name}.coi"
-        )
+        model = coi_circuit(circuit, prop.signals())
     bounded_session: Optional[SolverSession] = None
     induction_session: Optional[SolverSession] = None
     if incremental:

@@ -68,6 +68,38 @@ def coi_stats(circuit: Circuit, signals: Iterable[str]) -> Tuple[int, int]:
     return len(regs), len(gates)
 
 
+def _subcircuit_cone(
+    circuit: Circuit, kept: Set[str], roots: List[str]
+) -> Tuple[Set[str], Set[str]]:
+    """The gate cone and the non-gate boundary signals of the abstract
+    model that keeps ``kept`` (see :func:`extract_subcircuit`)."""
+    for reg_out in kept:
+        if not circuit.is_register_output(reg_out):
+            raise NetlistError(f"{reg_out!r} is not a register output")
+    cone_roots = list(roots)
+    cone_roots.extend(circuit.registers[r].data for r in kept)
+    gate_cone = combinational_cone(circuit, cone_roots)
+    boundary: Set[str] = set()
+    for sig in cone_roots:
+        if not circuit.is_gate_output(sig):
+            boundary.add(sig)
+    for gname in gate_cone:
+        for fanin in circuit.gates[gname].inputs:
+            if not circuit.is_gate_output(fanin):
+                boundary.add(fanin)
+    return gate_cone, boundary
+
+
+def subcircuit_signals(
+    circuit: Circuit, kept_registers: Iterable[str], roots: Iterable[str]
+) -> Set[str]:
+    """The signals ``extract_subcircuit(circuit, kept_registers, roots)``
+    defines, from a cone walk alone (no subcircuit is built)."""
+    kept = set(kept_registers)
+    gate_cone, boundary = _subcircuit_cone(circuit, kept, list(roots))
+    return gate_cone | boundary | kept
+
+
 def extract_subcircuit(
     circuit: Circuit,
     kept_registers: Iterable[str],
@@ -85,27 +117,13 @@ def extract_subcircuit(
     subcircuit speak about the original design directly.
     """
     kept = set(kept_registers)
-    for reg_out in kept:
-        if not circuit.is_register_output(reg_out):
-            raise NetlistError(f"{reg_out!r} is not a register output")
-
     root_list = [r for r in roots]
-    cone_roots = list(root_list)
-    cone_roots.extend(circuit.registers[r].data for r in kept)
-    gate_cone = combinational_cone(circuit, cone_roots)
+    gate_cone, boundary = _subcircuit_cone(circuit, kept, root_list)
 
     sub = Circuit(name or f"{circuit.name}.abs")
     # Primary inputs: every non-gate signal feeding the cone that is not a
     # kept register output.  This includes outputs of dropped registers
     # ("primary inputs of N but register outputs of M" in Figure 1).
-    boundary: Set[str] = set()
-    for sig in cone_roots:
-        if not circuit.is_gate_output(sig):
-            boundary.add(sig)
-    for gname in gate_cone:
-        for fanin in circuit.gates[gname].inputs:
-            if not circuit.is_gate_output(fanin):
-                boundary.add(fanin)
     for sig in sorted(boundary):
         if sig in kept:
             continue

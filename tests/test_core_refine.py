@@ -155,9 +155,8 @@ class TestPhase2Minimization:
         monkeypatch.setattr(
             refine_mod,
             "trace_satisfiable_on",
-            lambda model, trace, budget=None, incremental=True: (
-                AtpgOutcome.ABORTED
-            ),
+            lambda model, trace, budget=None, incremental=True,
+            active=None: AtpgOutcome.ABORTED,
         )
         result = refine_mod.minimize_candidates(
             abstraction, trace, ["r1", "r4"]
