@@ -10,7 +10,8 @@ run the RFN coverage analyzer against the BFS abstraction baseline [8]:
 The paper fixed the BFS register budget at 60 and gave RFN an 1,800 s
 budget; at CI scale the designs are smaller, so the BFS budget shrinks
 proportionally (it must stay below the design size or BFS trivially
-equals the exact analysis) and RFN gets a per-row time budget.
+equals the exact analysis) and RFN gets a per-row time budget.  A row
+that runs into that budget fails rather than report a partial count.
 
 Shape target: "RFN uniformly beats or matches the BFS results".
 """
@@ -50,6 +51,13 @@ def test_table2_row(benchmark, workload):
         return rfn, bfs
 
     rfn, bfs = benchmark.pedantic(run, rounds=1, iterations=1)
+    # A row cut short by the wall-clock cap would report a partial
+    # unreachable count as the row's answer.
+    assert not rfn.timed_out, (
+        f"Table 2 row {workload.name}: RFN stopped by the {RFN_SECONDS} s "
+        f"cap after {rfn.iterations} iterations with only "
+        f"{rfn.num_unreachable} unreachable states"
+    )
     # The paper's headline: RFN uniformly beats or matches BFS.
     assert rfn.num_unreachable >= bfs.num_unreachable
     _ROWS[workload.name] = (

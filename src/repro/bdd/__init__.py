@@ -15,7 +15,9 @@ Python substitute.  It provides:
 - dynamic variable reordering by sifting with variable *groups* (current-
   and next-state variables are sifted as a block so image renaming stays a
   level-monotone remap), plus explicit order get/set so RFN can persist the
-  order across refinement iterations (Section 2.2).
+  order across refinement iterations (Section 2.2),
+- :meth:`BDD.transfer`, which copies a function from another manager by
+  variable name, whatever the two managers' orders.
 """
 
 from repro.bdd.function import Function

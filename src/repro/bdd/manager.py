@@ -636,6 +636,39 @@ class BDD(CubeMixin, ReorderMixin):
             node = self._resolve(node)
         return node == self.TRUE
 
+    def transfer(self, f: Function) -> Function:
+        """Copy ``f`` from its own manager into this one, matching
+        variables by name.
+
+        One memoised walk over ``f``'s nodes: each source node becomes
+        ``ite(var(name), copy(high), copy(low))`` here, so the copy does
+        not depend on either manager's variable order, and forwarded
+        source nodes are resolved on the way.  Every variable in ``f``'s
+        support must be declared in this manager (:class:`BDDError`
+        otherwise).
+        """
+        src = f.bdd
+        memo: Dict[int, int] = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
+        literals: Dict[int, int] = {}  # source level -> literal node here
+
+        def copy(node: int) -> int:
+            node = src._resolve(node)
+            done = memo.get(node)
+            if done is not None:
+                return done
+            level = src._level[node]
+            literal = literals.get(level)
+            if literal is None:
+                name = src._var_names[src._level2var[level]]
+                literal = literals[level] = self.var(name).node
+            result = self._ite(
+                literal, copy(src._high[node]), copy(src._low[node])
+            )
+            memo[node] = result
+            return result
+
+        return self._wrap(copy(f.node))
+
     # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------

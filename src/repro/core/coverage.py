@@ -20,6 +20,9 @@ RFN mode (the paper's adaptation of the CEGAR loop):
 Coverage-state sets are kept **symbolically** (a dedicated little BDD
 manager over just the coverage signals): the paper's USB2 set has 21
 signals, i.e. two million coverage states, far too many to enumerate.
+Sets move between that manager and each iteration's model-checking
+manager with :meth:`repro.bdd.BDD.transfer`, a walk over the source's
+nodes rather than an enumeration of its cubes.
 
 The BFS baseline of [8] lives in :mod:`repro.core.bfs_abstraction`;
 :func:`bfs_coverage_analysis` runs its single fixpoint and projection.
@@ -29,7 +32,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.atpg.engine import AtpgBudget
 from repro.bdd import BDD, Function
@@ -43,6 +55,7 @@ from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
 from repro.mc.reach import ReachLimits, ReachOutcome, ReachResult, forward_reach
 from repro.netlist.circuit import Circuit, NetlistError
+from repro.obs import tracer as obs
 from repro.sim.random_sim import RandomSimulator
 
 CoverageState = Tuple[int, ...]
@@ -89,6 +102,19 @@ class CoverageSets:
     def count(self, fn: Function) -> int:
         return self.bdd.sat_count(fn, nvars=len(self.signals))
 
+    def mark_reachable(self, states: Iterable[Dict[str, int]]) -> int:
+        """Mark concretely visited coverage states (full assignments to
+        the signals) reachable: OR them into one set, then update the
+        reachable and undetermined sets once.  Returns how many distinct
+        states were not marked before."""
+        visited = self.bdd.false
+        for state in states:
+            visited = visited | self.bdd.cube(state)
+        marked = self.count(visited - self.reachable)
+        self.reachable = self.reachable | visited
+        self.undetermined = self.undetermined - visited
+        return marked
+
     def states(self, fn: Function) -> Iterator[CoverageState]:
         """Explicit enumeration (use only for small signal sets)."""
         return self.bdd.project_states(fn, self.signals)
@@ -104,6 +130,9 @@ class CoverageResult:
     fixpoints: int = 0
     traces_found: int = 0
     presim_marked: int = 0
+    # The ``max_seconds`` cap stopped the run before it finished; the
+    # sets are then only as far as the run got.
+    timed_out: bool = False
 
     @property
     def num_unreachable(self) -> int:
@@ -119,15 +148,6 @@ class CoverageResult:
 
     def unreachable_states(self) -> Set[CoverageState]:
         return set(self.sets.states(self.sets.unreachable))
-
-
-def _transfer(src_fn: Function, dst: BDD) -> Function:
-    """Copy a function between managers by cube enumeration.  The
-    function's support must be variables both managers know by name."""
-    acc = dst.false
-    for cube in src_fn.cubes():
-        acc = acc | dst.cube(cube)
-    return acc
 
 
 class CoverageAnalyzer:
@@ -169,12 +189,15 @@ class CoverageAnalyzer:
         result = CoverageResult(signals=list(self.signals), sets=sets)
 
         def out_of_time() -> bool:
-            return config.max_seconds is not None and (
+            if config.max_seconds is not None and (
                 time.monotonic() - start > config.max_seconds
-            )
+            ):
+                result.timed_out = True
+            return result.timed_out
 
         if config.presim_lanes > 0 and not out_of_time():
-            result.presim_marked = self._presimulate(sets)
+            with obs.span("coverage.presim"):
+                result.presim_marked = self._presimulate(sets)
             self._log(
                 f"[cov presim] {result.presim_marked} coverage states "
                 f"marked reachable by {config.presim_lanes}-lane random "
@@ -207,8 +230,10 @@ class CoverageAnalyzer:
                 for name in encoding.bdd.var_order()
                 if name not in set(self.signals)
             ]
-            projected = encoding.bdd.exists(others, reach.reached)
-            projection = _transfer(projected, sets.bdd)
+            with obs.span("coverage.project"):
+                projection = sets.bdd.transfer(
+                    encoding.bdd.exists(others, reach.reached)
+                )
             newly_unreachable = sets.undetermined - projection
             sets.unreachable = sets.unreachable | newly_unreachable
             sets.undetermined = sets.undetermined & projection
@@ -220,7 +245,8 @@ class CoverageAnalyzer:
                 break
 
             # Build an abstract trace toward some undetermined state.
-            target = _transfer(sets.undetermined, encoding.bdd)
+            with obs.span("coverage.target"):
+                target = encoding.bdd.transfer(sets.undetermined)
             hit = self._earliest_hit(reach, target)
             if hit is None:
                 break  # cannot happen while projection overlaps
@@ -301,14 +327,9 @@ class CoverageAnalyzer:
         visited = sampler.sample_reachable_projections(
             self.signals, runs=config.presim_lanes, cycles=config.presim_cycles
         )
-        marked = 0
-        for state in visited:
-            cube = sets.bdd.cube(dict(zip(self.signals, state)))
-            if (cube & sets.reachable).is_false:
-                marked += 1
-            sets.reachable = sets.reachable | cube
-            sets.undetermined = sets.undetermined - cube
-        return marked
+        return sets.mark_reachable(
+            dict(zip(self.signals, state)) for state in visited
+        )
 
     @staticmethod
     def _earliest_hit(reach: ReachResult, target: Function) -> Optional[int]:
@@ -318,17 +339,11 @@ class CoverageAnalyzer:
         return None
 
     def _mark_reachable(self, trace, sets: CoverageSets) -> int:
-        marked = 0
-        for cycle in range(trace.length):
-            state = trace.states[cycle]
-            if any(sig not in state for sig in self.signals):
-                continue
-            cube = sets.bdd.cube({sig: state[sig] for sig in self.signals})
-            if (cube & sets.reachable).is_false:
-                marked += 1
-            sets.reachable = sets.reachable | cube
-            sets.undetermined = sets.undetermined - cube
-        return marked
+        return sets.mark_reachable(
+            {sig: state[sig] for sig in self.signals}
+            for state in trace.states
+            if all(sig in state for sig in self.signals)
+        )
 
 
 @dataclass
@@ -372,8 +387,9 @@ def bfs_coverage_analysis(
             for name in encoding.bdd.var_order()
             if name not in set(signals)
         ]
-        projected = encoding.bdd.exists(others, reach.reached)
-        projection = _transfer(projected, sets.bdd)
+        projection = sets.bdd.transfer(
+            encoding.bdd.exists(others, reach.reached)
+        )
         sets.unreachable = ~projection
         sets.undetermined = projection
         result.completed = True

@@ -142,3 +142,76 @@ class TestRfnCoverage:
         result = CoverageAnalyzer(c, ["cnt[0]", "cnt[1]"]).run()
         assert result.num_unreachable == 0
         assert result.num_reachable_marked >= 1
+
+
+# ----------------------------------------------------------------------
+# Table 2 rows pinned at a 2-iteration cap
+# ----------------------------------------------------------------------
+
+#: (unreachable, reachable marked, undetermined, presim marked, traces
+#: found, iterations, model registers) per row, seed-0 presimulation.
+#: USB2 is the row whose guided search finds a concrete trace, so it
+#: covers marking from a trace as well as from presimulation.
+RFN_PINS = {
+    "IU1": (741, 87, 196, 87, 0, 2, 26),
+    "IU5": (768, 38, 218, 38, 0, 2, 26),
+    "USB1": (24, 13, 27, 13, 0, 2, 8),
+    "USB2": (2_020_799, 2144, 74_209, 2143, 1, 2, 22),
+}
+
+#: (unreachable, undetermined, model registers) of the BFS baseline, k=10.
+BFS_PINS = {
+    "IU1": (741, 283, 10),
+    "IU5": (768, 256, 10),
+    "USB1": (24, 40, 10),
+    "USB2": (0, 2_097_152, 10),
+}
+
+
+@pytest.fixture(scope="module")
+def table2_rows():
+    from repro.designs import table2_workloads
+
+    return {row.name: row for row in table2_workloads()}
+
+
+@pytest.mark.parametrize("name", sorted(RFN_PINS))
+def test_table2_rfn_counts_pinned(table2_rows, name):
+    row = table2_rows[name]
+    result = CoverageAnalyzer(
+        row.circuit, row.signals, CoverageConfig(max_iterations=2)
+    ).run()
+    assert (
+        result.num_unreachable,
+        result.num_reachable_marked,
+        result.num_undetermined,
+        result.presim_marked,
+        result.traces_found,
+        result.iterations,
+        result.model_registers,
+    ) == RFN_PINS[name]
+    # The three sets partition the coverage space.
+    assert (
+        result.num_unreachable
+        + result.num_reachable_marked
+        + result.num_undetermined
+    ) == 2 ** len(row.signals)
+
+
+@pytest.mark.parametrize("name", sorted(BFS_PINS))
+def test_table2_bfs_counts_pinned(table2_rows, name):
+    row = table2_rows[name]
+    result = bfs_coverage_analysis(row.circuit, row.signals, k=10)
+    assert result.completed
+    assert (
+        result.num_unreachable,
+        result.sets.count(result.sets.undetermined),
+        result.model_registers,
+    ) == BFS_PINS[name]
+
+
+def test_time_cap_is_reported():
+    c, signals = gated_counter()
+    capped = CoverageAnalyzer(c, signals, CoverageConfig(max_seconds=0.0))
+    assert capped.run().timed_out
+    assert not CoverageAnalyzer(c, signals).run().timed_out

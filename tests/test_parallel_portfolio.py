@@ -189,16 +189,46 @@ def test_strategy_crash_degrades_to_error_envelope():
     assert "kaboom" in envelope.detail
 
 
-def test_hard_worker_death_synthesizes_error_envelope():
+def _has_exited(pid):
+    """True once ``pid`` has exited: its ``/proc`` entry is gone or it is
+    a zombie.  The kernel closes a process's files before it becomes a
+    zombie, so an exited worker's pipe is already closed."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_hard_worker_death_synthesizes_error_envelope(tmp_path):
     """A worker that dies without sending (os._exit) must surface as an
     ERROR envelope, not hang or crash the race.  The fork start method
-    means a registry overlay in the parent reaches the child."""
+    means a registry overlay in the parent reaches the child.
+
+    k-induction answers only after the bmc worker has exited, so the
+    dead worker's closed pipe reaches the race no later than the win."""
+    marker = tmp_path / "bmc.pid"
+    kinduction = registry.get("kinduction")
 
     def dying(circuit, prop, limits):
+        staging = tmp_path / "bmc.pid.tmp"
+        staging.write_text(str(os.getpid()))
+        os.replace(staging, marker)
         os._exit(17)
 
+    def after_bmc_death(circuit, prop, limits):
+        deadline = time.monotonic() + 30.0
+        while not (marker.exists() and _has_exited(int(marker.read_text()))):
+            if time.monotonic() > deadline:
+                raise RuntimeError("the bmc worker never exited")
+            time.sleep(0.005)
+        return kinduction.run(circuit, prop, limits)
+
     circuit, prop = toggle_design()
-    with registry.overlay(FunctionEngine("bmc", dying)):
+    with registry.overlay(
+        FunctionEngine("bmc", dying),
+        FunctionEngine("kinduction", after_bmc_death),
+    ):
         result = race(
             circuit, prop, strategies=("bmc", "kinduction"), jobs=2
         )

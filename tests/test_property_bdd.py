@@ -9,9 +9,10 @@ invariance).
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDD
+from repro.bdd import BDD, BDDError
 
 NAMES = ["v0", "v1", "v2", "v3", "v4"]
 
@@ -175,3 +176,77 @@ def test_canonicity_after_operations(expr_a, expr_b):
     assert ~(f & g) == (~f | ~g)
     assert ~(f | g) == (~f & ~g)
     assert (f ^ g) == (g ^ f)
+
+
+# ----------------------------------------------------------------------
+# Cross-manager transfer
+# ----------------------------------------------------------------------
+
+EXTRA = ["x0", "x1", "x2"]
+
+
+def _enumerated_copy(f, dst):
+    """Reference copy: OR of the source's cubes rebuilt in ``dst``."""
+    acc = dst.false
+    for cube in f.cubes():
+        acc = acc | dst.cube(cube)
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(expressions(), st.permutations(NAMES + EXTRA))
+def test_transfer_matches_cube_enumeration(expr, order):
+    build, evaluate = expr
+    src = BDD(NAMES)
+    f = build(src)
+    dst = BDD(order)  # shuffled order with extra variables interleaved
+    copy = dst.transfer(f)
+    assert copy.bdd is dst
+    assert copy == _enumerated_copy(f, dst)
+    for env in all_envs():
+        full = dict(env, **{name: 1 for name in EXTRA})
+        assert copy(full) == evaluate(env)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(expressions(), min_size=1, max_size=3),
+       st.permutations(NAMES), st.permutations(NAMES))
+def test_transfer_after_source_sift(exprs, shuffled, order):
+    """Reordering relabels and rebuilds source nodes in place; the copy
+    must follow the source's order at the time of the copy."""
+    src = BDD(NAMES)
+    functions = [(build(src), evaluate) for build, evaluate in exprs]
+    src.set_order(list(shuffled))
+    src.sift()
+    dst = BDD(order)
+    for f, evaluate in functions:
+        copy = dst.transfer(f)
+        assert copy == _enumerated_copy(f, dst)
+        for env in all_envs():
+            assert copy(env) == evaluate(env)
+
+
+@settings(max_examples=40, deadline=None)
+@given(expressions(), st.permutations(NAMES + EXTRA))
+def test_transfer_round_trip_returns_same_node(expr, order):
+    src = BDD(NAMES)
+    f = expr[0](src)
+    dst = BDD(order)
+    back = src.transfer(dst.transfer(f))
+    assert back.bdd is src
+    assert back.node == f.node
+
+
+@settings(max_examples=40, deadline=None)
+@given(expressions())
+def test_transfer_of_undeclared_variable_raises(expr):
+    src = BDD(NAMES)
+    f = expr[0](src)
+    support = sorted(f.support())
+    if not support:  # constants need no variables at all
+        assert BDD().transfer(f).is_true == f.is_true
+        return
+    missing = support[0]
+    dst = BDD([name for name in NAMES if name != missing])
+    with pytest.raises(BDDError, match=missing):
+        dst.transfer(f)

@@ -295,7 +295,7 @@ class TestOrphanCleanup:
         """A SIGKILLed daemon cannot reap its workers.  The journal
         carries each spawned worker's pid, so the *next* daemon hunts
         the stragglers down before re-running their jobs."""
-        from repro.serve.daemon import _orphan_pids
+        from repro.serve.daemon import _looks_like_worker, _orphan_pids
         from repro.serve.journal import Journal
 
         queue_dir = str(tmp_path / "q")
@@ -307,6 +307,12 @@ class TestOrphanCleanup:
              "'repro serve worker stand-in'; import time; time.sleep(600)"],
         )
         try:
+            # Right after the exec the kernel reports an empty cmdline
+            # for a moment; a real orphan is long past that point.
+            deadline = time.monotonic() + 10.0
+            while not _looks_like_worker(orphan.pid):
+                assert time.monotonic() < deadline, "stand-in never started"
+                time.sleep(0.01)
             os.makedirs(os.path.join(queue_dir, "journal"))
             journal = Journal(
                 os.path.join(queue_dir, "journal"), fsync=False
