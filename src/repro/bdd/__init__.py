@@ -3,9 +3,9 @@
 The paper's symbolic engines were built on CUDD [14]; this package is the
 Python substitute.  It provides:
 
-- hash-consed reduced ordered BDDs with a mutable node store and node
-  forwarding (so reordering can merge nodes without invalidating the
-  :class:`Function` handles user code holds),
+- hash-consed reduced ordered BDDs with a mutable node store that
+  reordering relabels in place, so node ids -- and the :class:`Function`
+  handles user code holds -- stay valid across reordering,
 - the classic operation set -- ITE, AND/OR/XOR/NOT, existential and
   universal quantification, the AND-EXISTS relational product used by image
   computation, cofactoring/restriction, composition and variable renaming,

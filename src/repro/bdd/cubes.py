@@ -47,8 +47,8 @@ class CubeMixin:
         cube: Dict[str, int] = {}
         while node != self.TRUE:
             name = self._top_var_name(node)
-            low = self._resolve(self._low[node])
-            high = self._resolve(self._high[node])
+            low = self._low[node]
+            high = self._high[node]
             if low != self.FALSE:
                 cube[name] = 0
                 node = low
@@ -73,8 +73,8 @@ class CubeMixin:
             node, expanded = stack.pop()
             if node in cost:
                 continue
-            low = self._resolve(self._low[node])
-            high = self._resolve(self._high[node])
+            low = self._low[node]
+            high = self._high[node]
             if expanded:
                 cost[node] = 1 + min(cost[low], cost[high])
             else:
@@ -87,8 +87,8 @@ class CubeMixin:
         node = root
         while node != self.TRUE:
             name = self._top_var_name(node)
-            low = self._resolve(self._low[node])
-            high = self._resolve(self._high[node])
+            low = self._low[node]
+            high = self._high[node]
             if cost[low] <= cost[high]:
                 cube[name] = 0
                 node = low
@@ -119,8 +119,8 @@ class CubeMixin:
                 return
             level = self._level[node]
             for value, child in (
-                (0, self._resolve(self._low[node])),
-                (1, self._resolve(self._high[node])),
+                (0, self._low[node]),
+                (1, self._high[node]),
             ):
                 path.append((level, value))
                 yield from walk(child)
@@ -150,8 +150,8 @@ class CubeMixin:
             node, expanded = stack.pop()
             if node in counts:
                 continue
-            low = self._resolve(self._low[node])
-            high = self._resolve(self._high[node])
+            low = self._low[node]
+            high = self._high[node]
             if expanded:
                 level = self._level[node]
                 counts[node] = counts[low] * (

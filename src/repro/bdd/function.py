@@ -1,14 +1,13 @@
 """User-facing handle for a BDD node.
 
-A :class:`Function` pairs a manager with a node id.  Node ids can be
-*forwarded* when dynamic reordering merges structurally identical nodes, so
-the handle resolves lazily through the manager's forwarding table on every
-access.  Equality is semantic (same manager, same canonical node).
+A :class:`Function` pairs a manager with a node id.  Dynamic reordering
+relabels and rebuilds nodes in place without ever merging two of them, so
+a node id stays a stable handle for its function and the handle reads it
+directly.  Equality is semantic (same manager, same node), which the
+manager's canonicity makes an O(1) id comparison.
 
-Handles are deliberately unhashable: a function's canonical node id may
-change when reordering merges nodes, so hashing by node would be unstable
-and hashing by object identity would violate the eq/hash contract.  Index
-dictionaries by ``Function.node`` at a known-quiescent point instead.
+Handles are unhashable; index dictionaries by ``Function.node``, which is
+stable across reordering.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ class Function:
 
     @property
     def node(self) -> int:
-        """The canonical node id (resolves reorder-time forwarding)."""
-        self._node = self.bdd._resolve(self._node)
+        """The node id, stable across reordering."""
         return self._node
 
     # -- structure ------------------------------------------------------
@@ -159,13 +157,21 @@ class Function:
     def cubes(self) -> Iterator[Dict[str, int]]:
         return self.bdd.iter_cubes(self)
 
-    def __le__(self, other: "Function") -> bool:
+    def __le__(self, other) -> bool:
         """Implication test: is ``self -> other`` a tautology?"""
         node = self._coerce(other)
-        return self.bdd._and(self.node, self.bdd._not(node)) == self.bdd.FALSE
+        if node is NotImplemented:
+            return NotImplemented
+        bdd = self.bdd
+        return bdd._and(self.node, bdd._not(node)) == bdd.FALSE
 
-    def __ge__(self, other: "Function") -> bool:
-        return other.__le__(self)
+    def __ge__(self, other) -> bool:
+        """Implication test: is ``other -> self`` a tautology?"""
+        node = self._coerce(other)
+        if node is NotImplemented:
+            return NotImplemented
+        bdd = self.bdd
+        return bdd._and(node, bdd._not(self.node)) == bdd.FALSE
 
     def __repr__(self) -> str:
         if self.is_true:

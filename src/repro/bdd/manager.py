@@ -8,10 +8,16 @@ by construction (:meth:`BDD._mk` never builds a node with equal children and
 hash-conses through per-level unique tables), so two equivalent functions
 always have the same node id and equality is O(1).
 
-Nodes are *mutable* and support *forwarding*: dynamic reordering relabels
-and merges nodes in place, recording merges in a forwarding table that
-:class:`~repro.bdd.function.Function` handles resolve through lazily.  This
-is how user code survives reordering without a global handle-update pass.
+Nodes are *mutable*: dynamic reordering relabels nodes and rebuilds
+dependent nodes in place (see :mod:`repro.bdd.reorder`; an adjacent swap
+never makes two distinct nodes equal, so nothing is merged).  A node id
+therefore stays a stable handle for its function across reordering, and a
+:class:`~repro.bdd.function.Function` simply holds the id.
+
+Quantification sets are passed to the recursive operations as a positive
+*cube node* (the conjunction of the quantified variables), built once per
+public call: a recursion step skips cube levels above its top variable by
+following ``high`` and keys its cache entry by the node ids alone.
 
 Variables are identified by a stable index and positioned at a *level*;
 operations compare levels, so reordering is just a permutation of the
@@ -80,7 +86,6 @@ class BDD(CubeMixin, ReorderMixin):
         self._level: List[int] = [TERMINAL_LEVEL, TERMINAL_LEVEL]
         self._low: List[int] = [-1, -1]
         self._high: List[int] = [-1, -1]
-        self._fwd: Dict[int, int] = {}
         self._unique: List[Dict[Tuple[int, int], int]] = []
         self._var_names: List[str] = []
         self._name2var: Dict[str, int] = {}
@@ -89,9 +94,11 @@ class BDD(CubeMixin, ReorderMixin):
         self._groups: List[List[int]] = []  # var-index blocks, level order
         self._var_nodes: Dict[int, int] = {}
         self._cache: Dict[tuple, int] = {}
-        # Function is unhashable (its canonical node can change), so track
-        # handles in an id-keyed dict of weak references instead of a
-        # WeakSet.
+        # Level map of a monotone rename -> small int used in cache keys,
+        # so the map is hashed once per rename call, not once per node.
+        self._lmap_ids: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        # Function is unhashable, so track handles in an id-keyed dict of
+        # weak references instead of a WeakSet.
         self._handles: Dict[int, "weakref.ref[Function]"] = {}
         self._refs: Optional[List[int]] = None  # live only while reordering
         self._true = Function(self, self.TRUE)
@@ -125,14 +132,14 @@ class BDD(CubeMixin, ReorderMixin):
             self._unique.append({})
             self._groups.append([var])
             self._var_nodes[var] = self._mk(level, self.FALSE, self.TRUE)
-        return self._wrap(self._resolve(self._var_nodes[var]))
+        return self._wrap(self._var_nodes[var])
 
     def var(self, name: str) -> Function:
         """The literal for an already-declared variable."""
         var = self._name2var.get(name)
         if var is None:
             raise BDDError(f"undeclared variable {name!r}")
-        return self._wrap(self._resolve(self._var_nodes[var]))
+        return self._wrap(self._var_nodes[var])
 
     def has_var(self, name: str) -> bool:
         return name in self._name2var
@@ -163,21 +170,7 @@ class BDD(CubeMixin, ReorderMixin):
     # Node plumbing
     # ------------------------------------------------------------------
 
-    def _resolve(self, node: int) -> int:
-        fwd = self._fwd
-        if node not in fwd:
-            return node
-        chain = []
-        while node in fwd:
-            chain.append(node)
-            node = fwd[node]
-        for n in chain:  # path compression
-            fwd[n] = node
-        return node
-
     def _mk(self, level: int, low: int, high: int) -> int:
-        low = self._resolve(low)
-        high = self._resolve(high)
         if low == high:
             return low
         table = self._unique[level]
@@ -216,21 +209,14 @@ class BDD(CubeMixin, ReorderMixin):
         return self._var_names[self._level2var[level]]
 
     def _low_of(self, node: int) -> int:
-        node = self._resolve(node)
         if node <= 1:
             raise BDDError("terminal node has no children")
-        return self._resolve(self._low[node])
+        return self._low[node]
 
     def _high_of(self, node: int) -> int:
-        node = self._resolve(node)
         if node <= 1:
             raise BDDError("terminal node has no children")
-        return self._resolve(self._high[node])
-
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if self._level[node] == level:
-            return self._low[node], self._high[node]
-        return node, node
+        return self._high[node]
 
     # ------------------------------------------------------------------
     # Core boolean operations (internal, on node ids)
@@ -265,10 +251,12 @@ class BDD(CubeMixin, ReorderMixin):
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level[f], self._level[g])
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        result = self._mk(level, self._and(f0, g0), self._and(f1, g1))
+        level, low, high = self._level, self._low, self._high
+        lf, lg = level[f], level[g]
+        top = lf if lf < lg else lg
+        f0, f1 = (low[f], high[f]) if lf == top else (f, f)
+        g0, g1 = (low[g], high[g]) if lg == top else (g, g)
+        result = self._mk(top, self._and(f0, g0), self._and(f1, g1))
         self._cache[key] = result
         return result
 
@@ -285,10 +273,12 @@ class BDD(CubeMixin, ReorderMixin):
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level[f], self._level[g])
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        result = self._mk(level, self._or(f0, g0), self._or(f1, g1))
+        level, low, high = self._level, self._low, self._high
+        lf, lg = level[f], level[g]
+        top = lf if lf < lg else lg
+        f0, f1 = (low[f], high[f]) if lf == top else (f, f)
+        g0, g1 = (low[g], high[g]) if lg == top else (g, g)
+        result = self._mk(top, self._or(f0, g0), self._or(f1, g1))
         self._cache[key] = result
         return result
 
@@ -309,10 +299,12 @@ class BDD(CubeMixin, ReorderMixin):
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level[f], self._level[g])
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        result = self._mk(level, self._xor(f0, g0), self._xor(f1, g1))
+        level, low, high = self._level, self._low, self._high
+        lf, lg = level[f], level[g]
+        top = lf if lf < lg else lg
+        f0, f1 = (low[f], high[f]) if lf == top else (f, f)
+        g0, g1 = (low[g], high[g]) if lg == top else (g, g)
+        result = self._mk(top, self._xor(f0, g0), self._xor(f1, g1))
         self._cache[key] = result
         return result
 
@@ -331,13 +323,13 @@ class BDD(CubeMixin, ReorderMixin):
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level[f], self._level[g], self._level[h])
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        h0, h1 = self._cofactors(h, level)
-        result = self._mk(
-            level, self._ite(f0, g0, h0), self._ite(f1, g1, h1)
-        )
+        level, low, high = self._level, self._low, self._high
+        lf, lg, lh = level[f], level[g], level[h]
+        top = min(lf, lg, lh)
+        f0, f1 = (low[f], high[f]) if lf == top else (f, f)
+        g0, g1 = (low[g], high[g]) if lg == top else (g, g)
+        h0, h1 = (low[h], high[h]) if lh == top else (h, h)
+        result = self._mk(top, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
         self._cache[key] = result
         return result
 
@@ -345,73 +337,79 @@ class BDD(CubeMixin, ReorderMixin):
     # Quantification
     # ------------------------------------------------------------------
 
-    def _exists(self, f: int, levels: Tuple[int, ...]) -> int:
-        """Existential quantification over the sorted tuple of ``levels``."""
-        if f <= 1 or not levels:
+    def _exists(self, f: int, cube: int) -> int:
+        """Existential quantification over the variables of the positive
+        cube node ``cube``."""
+        if f <= 1:
             return f
-        top = self._level[f]
-        index = 0
-        while index < len(levels) and levels[index] < top:
-            index += 1
-        if index:
-            levels = levels[index:]
-        if not levels:
+        level, high = self._level, self._high
+        top = level[f]
+        while level[cube] < top:  # TRUE's level is below every variable
+            cube = high[cube]
+        if cube == self.TRUE:
             return f
-        key = ("E", f, levels)
+        key = ("E", f, cube)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        low, high = self._low[f], self._high[f]
-        if levels[0] == top:
-            rest = levels[1:]
-            result = self._or(self._exists(low, rest), self._exists(high, rest))
+        f0, f1 = self._low[f], high[f]
+        if level[cube] == top:
+            rest = high[cube]
+            result = self._exists(f0, rest)
+            if result != self.TRUE:
+                result = self._or(result, self._exists(f1, rest))
         else:
             result = self._mk(
-                top, self._exists(low, levels), self._exists(high, levels)
+                top, self._exists(f0, cube), self._exists(f1, cube)
             )
         self._cache[key] = result
         return result
 
-    def _and_exists(self, f: int, g: int, levels: Tuple[int, ...]) -> int:
-        """Relational product: ``exists levels . f & g`` without building the
+    def _and_exists(self, f: int, g: int, cube: int) -> int:
+        """Relational product: ``exists cube . f & g`` without building the
         full conjunction first -- the workhorse of image computation."""
         if f == self.FALSE or g == self.FALSE:
             return self.FALSE
         if f == self.TRUE:
-            return self._exists(g, levels)
-        if g == self.TRUE:
-            return self._exists(f, levels)
-        if not levels:
-            return self._and(f, g)
+            return self._exists(g, cube)
+        if g == self.TRUE or f == g:
+            return self._exists(f, cube)
         if f > g:
             f, g = g, f
-        key = ("AE", f, g, levels)
+        level, low, high = self._level, self._low, self._high
+        lf, lg = level[f], level[g]
+        top = lf if lf < lg else lg
+        while level[cube] < top:
+            cube = high[cube]
+        if cube == self.TRUE:
+            return self._and(f, g)
+        key = ("AE", f, g, cube)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        level = min(self._level[f], self._level[g])
-        index = 0
-        while index < len(levels) and levels[index] < level:
-            index += 1
-        sub_levels = levels[index:] if index else levels
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        if sub_levels and sub_levels[0] == level:
-            rest = sub_levels[1:]
+        f0, f1 = (low[f], high[f]) if lf == top else (f, f)
+        g0, g1 = (low[g], high[g]) if lg == top else (g, g)
+        if level[cube] == top:
+            rest = high[cube]
             result = self._and_exists(f0, g0, rest)
             if result != self.TRUE:
                 result = self._or(result, self._and_exists(f1, g1, rest))
         else:
             result = self._mk(
-                level,
-                self._and_exists(f0, g0, sub_levels),
-                self._and_exists(f1, g1, sub_levels),
+                top,
+                self._and_exists(f0, g0, cube),
+                self._and_exists(f1, g1, cube),
             )
         self._cache[key] = result
         return result
 
-    def _level_tuple(self, names: Iterable[str]) -> Tuple[int, ...]:
-        return tuple(sorted(self.level_of(name) for name in names))
+    def _cube_of(self, names: Iterable[str]) -> int:
+        """The positive cube node over ``names`` (duplicates allowed)."""
+        node = self.TRUE
+        for level in sorted({self.level_of(name) for name in names},
+                            reverse=True):
+            node = self._mk(level, self.FALSE, node)
+        return node
 
     # ------------------------------------------------------------------
     # Cofactor / compose / rename
@@ -460,23 +458,27 @@ class BDD(CubeMixin, ReorderMixin):
         else:
             r0 = self._compose_one(low, level, g)
             r1 = self._compose_one(high, level, g)
-            literal = self._resolve(self._var_nodes[self._level2var[top]])
+            literal = self._var_nodes[self._level2var[top]]
             result = self._ite(literal, r1, r0)
         self._cache[key] = result
         return result
 
-    def _rename_monotone(self, f: int, lmap: Dict[int, int]) -> int:
+    def _rename_monotone(
+        self, f: int, lmap: Dict[int, int], token: int
+    ) -> int:
+        """Relabel levels by ``lmap``; ``token`` identifies the map in
+        cache keys (see :meth:`rename`)."""
         if f <= 1:
             return f
-        key = ("M", f, tuple(sorted(lmap.items())))
+        key = ("M", f, token)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         top = self._level[f]
         result = self._mk(
             lmap.get(top, top),
-            self._rename_monotone(self._low[f], lmap),
-            self._rename_monotone(self._high[f], lmap),
+            self._rename_monotone(self._low[f], lmap, token),
+            self._rename_monotone(self._high[f], lmap, token),
         )
         self._cache[key] = result
         return result
@@ -518,14 +520,12 @@ class BDD(CubeMixin, ReorderMixin):
         return self._wrap(fn(self._node_of(f), self._node_of(g)))
 
     def exists(self, names: Iterable[str], f: Function) -> Function:
-        return self._wrap(
-            self._exists(self._node_of(f), self._level_tuple(names))
-        )
+        return self._wrap(self._exists(self._node_of(f), self._cube_of(names)))
 
     def forall(self, names: Iterable[str], f: Function) -> Function:
         inner = self._not(self._node_of(f))
         return self._wrap(
-            self._not(self._exists(inner, self._level_tuple(names)))
+            self._not(self._exists(inner, self._cube_of(names)))
         )
 
     def and_exists(
@@ -533,7 +533,7 @@ class BDD(CubeMixin, ReorderMixin):
     ) -> Function:
         return self._wrap(
             self._and_exists(
-                self._node_of(f), self._node_of(g), self._level_tuple(names)
+                self._node_of(f), self._node_of(g), self._cube_of(names)
             )
         )
 
@@ -595,7 +595,9 @@ class BDD(CubeMixin, ReorderMixin):
             and len(set(targets)) == len(targets)
         )
         if monotone:
-            return self._wrap(self._rename_monotone(node, lmap))
+            lkey = tuple(sorted(lmap.items()))
+            token = self._lmap_ids.setdefault(lkey, len(self._lmap_ids))
+            return self._wrap(self._rename_monotone(node, lmap, token))
         # General fallback: simultaneous composition with target literals
         # (handles swaps and collisions through compose's temporaries).
         return self.compose(
@@ -618,8 +620,8 @@ class BDD(CubeMixin, ReorderMixin):
                 continue
             seen.add(node)
             if node > 1:
-                stack.append(self._resolve(self._low[node]))
-                stack.append(self._resolve(self._high[node]))
+                stack.append(self._low[node])
+                stack.append(self._high[node])
         return len(seen)
 
     def evaluate(self, f: Function, assignment: Dict[str, int]) -> bool:
@@ -633,7 +635,6 @@ class BDD(CubeMixin, ReorderMixin):
                     f"assignment misses support variable {name!r}"
                 ) from None
             node = self._high[node] if value else self._low[node]
-            node = self._resolve(node)
         return node == self.TRUE
 
     def transfer(self, f: Function) -> Function:
@@ -642,17 +643,15 @@ class BDD(CubeMixin, ReorderMixin):
 
         One memoised walk over ``f``'s nodes: each source node becomes
         ``ite(var(name), copy(high), copy(low))`` here, so the copy does
-        not depend on either manager's variable order, and forwarded
-        source nodes are resolved on the way.  Every variable in ``f``'s
-        support must be declared in this manager (:class:`BDDError`
-        otherwise).
+        not depend on either manager's variable order.  Every variable in
+        ``f``'s support must be declared in this manager
+        (:class:`BDDError` otherwise).
         """
         src = f.bdd
         memo: Dict[int, int] = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
         literals: Dict[int, int] = {}  # source level -> literal node here
 
         def copy(node: int) -> int:
-            node = src._resolve(node)
             done = memo.get(node)
             if done is not None:
                 return done
@@ -674,13 +673,13 @@ class BDD(CubeMixin, ReorderMixin):
     # ------------------------------------------------------------------
 
     def live_roots(self) -> List[int]:
-        """Canonical node ids of all live handles plus the variable nodes."""
+        """Node ids of all live handles plus the variable nodes."""
         roots = set()
         for ref in list(self._handles.values()):
             handle = ref()
             if handle is not None:
-                roots.add(self._resolve(handle._node))
-        roots.update(self._resolve(n) for n in self._var_nodes.values())
+                roots.add(handle.node)
+        roots.update(self._var_nodes.values())
         return sorted(roots)
 
     def total_nodes(self) -> int:
@@ -701,8 +700,8 @@ class BDD(CubeMixin, ReorderMixin):
             if node <= 1 or node in live:
                 continue
             live.add(node)
-            stack.append(self._resolve(self._low[node]))
-            stack.append(self._resolve(self._high[node]))
+            stack.append(self._low[node])
+            stack.append(self._high[node])
         reclaimed = 0
         for level, table in enumerate(self._unique):
             dead = [key for key, node in table.items() if node not in live]

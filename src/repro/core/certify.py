@@ -99,15 +99,15 @@ def _invariant_clauses(
             continue
         seen.add(n)
         order.append(n)
-        stack.append(bdd._resolve(bdd._low[n]))
-        stack.append(bdd._resolve(bdd._high[n]))
+        stack.append(bdd._low[n])
+        stack.append(bdd._high[n])
     for n in order:
         node_lit[n] = cnf.new_var(f"{aux_prefix}$n{n}")
     for n in order:
         var_name = bdd._top_var_name(n)
         sel = unroller.lit(var_name, cycle)
-        low = bdd._resolve(bdd._low[n])
-        high = bdd._resolve(bdd._high[n])
+        low = bdd._low[n]
+        high = bdd._high[n]
         out = node_lit[n]
 
         def branch_lit(child: int):

@@ -188,9 +188,9 @@ class ApproximateReach:
                         if 0 <= j < len(reached):
                             constraint = constraint & reached[j]
                     image = self._block_post(index, constraint)
-                    new = image - reached[index]
-                    if not new.is_false:
-                        reached[index] = reached[index] | image
+                    grown = reached[index] | image
+                    if grown != reached[index]:
+                        reached[index] = grown
                         changed = True
         except BDDNodeLimit:
             return ApproxResult(

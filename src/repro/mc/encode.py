@@ -20,6 +20,7 @@ from repro.bdd import BDD, Function
 from repro.kernel.scache import static_order as _cached_static_order
 from repro.netlist.cell import GateOp
 from repro.netlist.circuit import Circuit
+from repro.obs import tracer as obs
 
 NEXT_SUFFIX = "#next"
 
@@ -75,22 +76,23 @@ class SymbolicEncoding:
     ) -> None:
         self.circuit = circuit
         self.bdd = bdd or BDD()
-        order = self._resolve_order(var_order, extra_roots)
         self.current_vars: List[str] = []
         self.next_vars: List[str] = []
         self.input_vars: List[str] = []
-        for name in order:
-            if circuit.is_register_output(name):
-                self.bdd.declare(name)
-                self.bdd.declare(next_var_name(name))
-                self.bdd.group([name, next_var_name(name)])
-                self.current_vars.append(name)
-                self.next_vars.append(next_var_name(name))
-            else:
-                self.bdd.declare(name)
-                self.input_vars.append(name)
         self._functions: Dict[str, Function] = {}
-        self._build_functions()
+        with obs.span("mc.encode", registers=len(circuit.registers)):
+            order = self._resolve_order(var_order, extra_roots)
+            for name in order:
+                if circuit.is_register_output(name):
+                    self.bdd.declare(name)
+                    self.bdd.declare(next_var_name(name))
+                    self.bdd.group([name, next_var_name(name)])
+                    self.current_vars.append(name)
+                    self.next_vars.append(next_var_name(name))
+                else:
+                    self.bdd.declare(name)
+                    self.input_vars.append(name)
+            self._build_functions()
 
     def _resolve_order(
         self,

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd import Function
 from repro.mc.encode import SymbolicEncoding, next_var_name
+from repro.obs import tracer as obs
 
 
 class ImageComputer:
@@ -45,23 +46,25 @@ class ImageComputer:
         bdd = self.bdd
         clusters: List[Function] = []
         current: Optional[Function] = None
-        for reg in self.encoding.current_vars:
-            part = bdd.var(next_var_name(reg)).equiv(
-                self.encoding.next_state_function(reg)
-            )
-            if current is None:
-                current = part
-            else:
-                merged = current & part
-                if merged.size() > self.cluster_node_limit:
-                    clusters.append(current)
+        with obs.span("mc.cluster") as phase:
+            for reg in self.encoding.current_vars:
+                part = bdd.var(next_var_name(reg)).equiv(
+                    self.encoding.next_state_function(reg)
+                )
+                if current is None:
                     current = part
                 else:
-                    current = merged
-        if current is not None:
-            clusters.append(current)
-        if not clusters:
-            clusters.append(bdd.true)
+                    merged = current & part
+                    if merged.size() > self.cluster_node_limit:
+                        clusters.append(current)
+                        current = part
+                    else:
+                        current = merged
+            if current is not None:
+                clusters.append(current)
+            if not clusters:
+                clusters.append(bdd.true)
+            phase.set(clusters=len(clusters))
         return clusters
 
     def _schedule(self, quantified: Set[str]) -> List[List[str]]:

@@ -157,18 +157,20 @@ def forward_reach(
             if budget is not None:
                 budget.checkpoint(engine="reach")
             image = images.post_image(frontier)
-            new = image - reached
+            grown = reached | image
         except EngineAbort as abort:
             # BDDNodeLimit is a NodesOut, so real allocation blowups and
             # budget deadline/memory aborts both land here.
             return make_result(
                 ReachOutcome.RESOURCE_OUT, resource=abort.resource
             )
-        if new.is_false:
+        # Canonicity makes the closure test one node comparison: the image
+        # adds nothing exactly when the union is the reached set itself.
+        if grown == reached:
             return make_result(ReachOutcome.FIXPOINT)
         if keep_rings:
             rings.append(image)
-        reached = reached | image
+        reached = grown
         if target is not None and not (image & target).is_false:
             return make_result(ReachOutcome.TARGET_HIT, hit=iteration)
         frontier = image

@@ -120,6 +120,31 @@ class TestSemantics:
         assert not (a <= b)
         assert (a | b) >= b
 
+    def test_implication_with_constants(self, bdd):
+        a = bdd.var("a")
+        # Both directions accept the operands the boolean operators do.
+        assert a <= True and a <= 1
+        assert not (a <= False) and not (a <= 0)
+        assert bdd.false <= False
+        assert a >= False and a >= 0
+        assert not (a >= True) and not (a >= 1)
+        assert (a | ~a) >= True
+        # Reflected forms reach the same tests.
+        assert True >= a and False <= a
+        assert not (True <= a)
+
+    @pytest.mark.parametrize("other", [2, -1, "a", None, 0.5, [1]])
+    def test_implication_rejects_foreign_operands(self, bdd, other):
+        a = bdd.var("a")
+        assert a.__le__(other) is NotImplemented
+        assert a.__ge__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            a <= other
+        with pytest.raises(TypeError):
+            a >= other
+        with pytest.raises(TypeError):
+            other <= a
+
     def test_bool_coercion_constants(self, bdd):
         a = bdd.var("a")
         assert (a & True) == a

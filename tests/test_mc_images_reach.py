@@ -175,6 +175,35 @@ class TestForwardReach:
         )
         assert result.outcome is ReachOutcome.RESOURCE_OUT
 
+    def test_node_limit_fires_inside_an_image_step(self):
+        """``b_i`` copies the input that ``a_i`` loads, and every ``b`` sits
+        below every ``a``, so the first image (``a == b``) needs about
+        ``2**12`` nodes while the transition relation needs a few
+        thousand.  With the ceiling at the live node count the soft
+        between-step check passes and the allocation ceiling trips inside
+        the first image step."""
+        width = 12
+        c = Circuit("copy")
+        xs = [c.add_input(f"x{i}") for i in range(width)]
+        for i in range(width):
+            c.add_register(xs[i], output=f"a{i}")
+        for i in range(width):
+            c.add_register(c.g_buf(xs[i]), output=f"b{i}")
+        c.validate()
+        enc = SymbolicEncoding(c)
+        images = ImageComputer(enc)
+        init = enc.initial_states()
+        enc.bdd.collect_garbage()
+        live = enc.bdd.total_nodes()
+        result = forward_reach(
+            images, init, limits=ReachLimits(max_nodes=live)
+        )
+        assert result.outcome is ReachOutcome.RESOURCE_OUT
+        assert result.abort_resource == "nodes"
+        assert result.iterations == 1
+        assert len(result.rings) == 1  # the aborted step added no ring
+        assert result.reached == init
+
     def test_rings_are_exact_step_sets(self):
         c = counter(3)
         enc = SymbolicEncoding(c)
@@ -197,3 +226,93 @@ class TestForwardReach:
             step_hook=lambda i, r: calls.append(i),
         )
         assert calls
+
+
+# ----------------------------------------------------------------------
+# Fixpoint by equality == fixpoint by empty difference
+# ----------------------------------------------------------------------
+
+
+def reference_reach(images, init, target=None):
+    """The fixpoint loop of :func:`forward_reach` with the closure test it
+    had before: build ``image - reached`` and test it for emptiness."""
+    reached = frontier = init
+    rings = [init]
+    if target is not None and not (init & target).is_false:
+        return ReachOutcome.TARGET_HIT, 0, rings, reached
+    iteration = 0
+    while True:
+        iteration += 1
+        image = images.post_image(frontier)
+        if (image - reached).is_false:
+            return ReachOutcome.FIXPOINT, iteration, rings, reached
+        rings.append(image)
+        reached = reached | image
+        if target is not None and not (image & target).is_false:
+            return ReachOutcome.TARGET_HIT, iteration, rings, reached
+        frontier = image
+
+
+def assert_same_reach(images, init, target=None):
+    outcome, iterations, rings, reached = reference_reach(
+        images, init, target
+    )
+    result = forward_reach(images, init, target=target)
+    assert result.outcome is outcome
+    assert result.iterations == iterations
+    if outcome is ReachOutcome.TARGET_HIT:
+        assert result.hit_ring == iterations
+    assert len(result.rings) == len(rings)
+    # One manager: Function equality is node equality.
+    for ours, theirs in zip(result.rings, rings):
+        assert ours == theirs
+    assert result.reached == reached
+    return result
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_fuzz_reach_matches_difference_test(seed):
+    from repro.fuzz.gen import generate_instance
+
+    instance = generate_instance(seed)
+    enc = SymbolicEncoding(instance.circuit)
+    images = ImageComputer(enc)
+    init = enc.initial_states()
+    assert_same_reach(images, init)
+    assert_same_reach(images, init, enc.state_cube(dict(instance.prop.target)))
+
+
+@pytest.fixture(scope="module")
+def table2_models():
+    """IU1 and USB2 abstract models: the coverage analyzer's first model
+    and the one its first refinement produces."""
+    from repro.core.coverage import CoverageAnalyzer, CoverageConfig
+    from repro.designs import table2_workloads
+
+    rows = {row.name: row for row in table2_workloads()}
+    models = []
+    for name in ("IU1", "USB2"):
+        row = rows[name]
+        analyzer = CoverageAnalyzer(
+            row.circuit, row.signals,
+            CoverageConfig(max_iterations=1, max_seconds=None),
+        )
+        first = analyzer.abstraction.model
+        analyzer.run()
+        refined = analyzer.abstraction.model
+        assert refined.num_registers > first.num_registers
+        models.append((f"{name}-first", first, row.signals))
+        models.append((f"{name}-refined", refined, row.signals))
+    return models
+
+
+def test_table2_abstract_models_reach_matches_difference_test(table2_models):
+    for _name, model, signals in table2_models:
+        enc = SymbolicEncoding(model)
+        images = ImageComputer(enc)
+        init = enc.initial_states()
+        fixpoint = assert_same_reach(images, init)
+        assert fixpoint.outcome is ReachOutcome.FIXPOINT
+        assert_same_reach(
+            images, init, enc.state_cube({sig: 1 for sig in signals})
+        )

@@ -51,6 +51,9 @@ class TestVerifyTrace:
         }
         assert "rfn.iteration" in names
         assert "mc.reach" in names
+        # Model-checking set-up is attributed too, not left unclaimed.
+        assert "mc.encode" in names
+        assert "mc.cluster" in names
 
     def test_trace_disabled_after_run(self, true_netlist, tmp_path):
         path, wd = true_netlist

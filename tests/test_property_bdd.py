@@ -250,3 +250,130 @@ def test_transfer_of_undeclared_variable_raises(expr):
     dst = BDD([name for name in NAMES if name != missing])
     with pytest.raises(BDDError, match=missing):
         dst.transfer(f)
+
+
+# ----------------------------------------------------------------------
+# Quantification against a truth table, across reordering
+# ----------------------------------------------------------------------
+
+UNUSED = "u"  # declared, but no generated expression mentions it
+ALL_NAMES = NAMES + [UNUSED]
+
+
+def quantified_sets():
+    """Name lists with repeats, names outside every support and the empty
+    list; ``ends`` adds the current top and/or bottom variable."""
+    return st.tuples(
+        st.lists(st.sampled_from(ALL_NAMES), max_size=8),
+        st.sampled_from(["none", "top", "bottom", "both"]),
+    )
+
+
+def _with_ends(bdd, drawn):
+    names, ends = drawn
+    order = bdd.var_order()
+    names = list(names)
+    if ends in ("top", "both"):
+        names.append(order[0])
+    if ends in ("bottom", "both"):
+        names.append(order[-1])
+    return names
+
+
+def _table(bdd, evaluate, names, all_of):
+    """Truth-table reference of ``exists``/``forall names . evaluate`` as
+    a BDD over ``ALL_NAMES``."""
+    quantified = sorted(set(names))
+    fold = all if all_of else any
+    result = bdd.false
+    for bits in itertools.product((0, 1), repeat=len(ALL_NAMES)):
+        env = dict(zip(ALL_NAMES, bits))
+        value = fold(
+            evaluate(dict(env, **dict(zip(quantified, qbits))))
+            for qbits in itertools.product((0, 1), repeat=len(quantified))
+        )
+        if value:
+            result = result | bdd.cube(env)
+    return result
+
+
+def _reorder(bdd, how, order):
+    if how == "sift":
+        bdd.sift()
+    else:
+        bdd.set_order(list(order))
+
+
+REORDERS = st.tuples(st.sampled_from(["sift", "order"]),
+                     st.permutations(ALL_NAMES))
+
+
+@settings(max_examples=30, deadline=None)
+@given(expressions(), quantified_sets(), REORDERS)
+def test_exists_and_forall_match_truth_table(expr, drawn, reorder):
+    build, evaluate = expr
+    bdd = BDD(ALL_NAMES)
+    f = build(bdd)
+    results = []
+    for phase in ("before", "after"):
+        if phase == "after":
+            _reorder(bdd, *reorder)
+        names = _with_ends(bdd, drawn)
+        exists = bdd.exists(names, f)
+        forall = bdd.forall(names, f)
+        assert exists == _table(bdd, evaluate, names, all_of=False)
+        assert forall == _table(bdd, evaluate, names, all_of=True)
+        results.append((set(names), exists, forall))
+    (names_0, exists_0, forall_0), (names_1, exists_1, forall_1) = results
+    if names_0 == names_1:
+        # Node ids survive reordering: the earlier handles still denote
+        # the functions recomputed under the new order.
+        assert exists_0 == exists_1
+        assert forall_0 == forall_1
+
+
+@settings(max_examples=30, deadline=None)
+@given(expressions(), expressions(), quantified_sets(), REORDERS)
+def test_and_exists_matches_truth_table(expr_a, expr_b, drawn, reorder):
+    bdd = BDD(ALL_NAMES)
+    f, g = expr_a[0](bdd), expr_b[0](bdd)
+
+    def conj(env):
+        return expr_a[1](env) and expr_b[1](env)
+
+    for phase in ("before", "after"):
+        if phase == "after":
+            _reorder(bdd, *reorder)
+        names = _with_ends(bdd, drawn)
+        product = bdd.and_exists(f, g, names)
+        assert product == _table(bdd, conj, names, all_of=False)
+        assert product == bdd.and_exists(g, f, names)
+        assert product == bdd.exists(names, f & g)
+
+
+PRIMED = {name: name + "'" for name in NAMES}
+INTERLEAVED = [n for name in NAMES for n in (name, PRIMED[name])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(expressions(), st.lists(st.sampled_from(NAMES), unique=True))
+def test_monotone_rename_equals_compose(expr, sources):
+    """Each primed variable sits right below its source, so the rename
+    takes the structural path; composition is the general fallback."""
+    build, evaluate = expr
+    bdd = BDD(INTERLEAVED)
+    f = build(bdd)
+    full_map = {name: PRIMED[name] for name in sources}
+    half_map = {name: PRIMED[name] for name in sources[::2]}
+    # Alternate two maps so a cache entry of one is never served for the
+    # other.
+    for mapping in (full_map, half_map, full_map, {}):
+        renamed = bdd.rename(f, mapping)
+        composed = bdd.compose(f, {src: bdd.var(dst)
+                                   for src, dst in mapping.items()})
+        assert renamed == composed
+        for env in all_envs():
+            moved = {PRIMED[n]: v for n, v in env.items() if n in mapping}
+            kept = {n: 1 - v for n, v in env.items() if n in mapping}
+            full = dict(env, **kept, **moved)
+            assert renamed(full) == evaluate(env)
