@@ -296,7 +296,7 @@ def cmd_verify(args) -> int:
               f"(winner: {outcome.winner or 'none'}, jobs: {outcome.jobs}) "
               f"in {outcome.seconds:.2f}s")
         for envelope in outcome.envelopes:
-            print(f"  {envelope.strategy}: {envelope.verdict} "
+            print(f"  {envelope.engine}: {envelope.verdict} "
                   f"({envelope.detail}) in {envelope.seconds:.2f}s")
         if outcome.disagreement:
             print(f"  DISAGREEMENT: {outcome.disagreement}")

@@ -252,32 +252,39 @@ class RfnEngine(Engine):
                 max_seconds=limits.max_seconds, budget=limits.budget
             ),
         ).run()
-        iterations = len(result.iterations)
-        if result.verified:
-            return VerifyResult(
-                engine=self.name,
-                verdict=Verdict.VERIFIED,
-                detail=f"CEGAR verified in {iterations} iterations",
-                witness=WITNESS_INVARIANT,
-                seconds=result.seconds,
-                invariant=result.invariant,
-                invariant_encoding=result.invariant_encoding,
-            )
-        if result.falsified:
-            return VerifyResult(
-                engine=self.name,
-                verdict=Verdict.FALSIFIED,
-                detail=f"CEGAR falsified in {iterations} iterations",
-                witness=WITNESS_TRACE,
-                trace=result.trace,
-                seconds=result.seconds,
-            )
+        return rfn_verify_result(result)
+
+
+def rfn_verify_result(result, suffix: str = "") -> VerifyResult:
+    """Map an :class:`~repro.core.rfn.RfnResult` onto a
+    :class:`VerifyResult`.  ``suffix`` ends a definite verdict's detail
+    (the service's checkpointing body notes resumed iterations there)."""
+    iterations = len(result.iterations)
+    if result.verified:
         return VerifyResult(
-            engine=self.name,
-            verdict=Verdict.UNKNOWN,
-            detail=result.detail or "CEGAR resource limit",
+            engine="rfn",
+            verdict=Verdict.VERIFIED,
+            detail=f"CEGAR verified in {iterations} iterations{suffix}",
+            witness=WITNESS_INVARIANT,
+            seconds=result.seconds,
+            invariant=result.invariant,
+            invariant_encoding=result.invariant_encoding,
+        )
+    if result.falsified:
+        return VerifyResult(
+            engine="rfn",
+            verdict=Verdict.FALSIFIED,
+            detail=f"CEGAR falsified in {iterations} iterations{suffix}",
+            witness=WITNESS_TRACE,
+            trace=result.trace,
             seconds=result.seconds,
         )
+    return VerifyResult(
+        engine="rfn",
+        verdict=Verdict.UNKNOWN,
+        detail=result.detail or "CEGAR resource limit",
+        seconds=result.seconds,
+    )
 
 
 class KernelBfsEngine(Engine):

@@ -5,9 +5,11 @@ VerifyResult``.  Subclasses implement :meth:`Engine._run`; the public
 :meth:`Engine.run` wraps it with the standard containment the rest of
 the system relies on (contained aborts degrade to ``UNKNOWN`` with an
 :class:`AbortInfo`, crashes degrade to ``ERROR``) and stamps elapsed
-time and the ``PERF`` snapshot.  Callers that do their own containment
--- the portfolio worker, the fuzz oracle -- pass ``contain=False`` and
-keep their historical failure classification byte-for-byte.
+time and the ``PERF`` snapshot.  This is the one place a contained
+abort or a crash becomes a result; the portfolio's ``run_strategy``
+and the service worker reach it through a :class:`FunctionEngine`.
+Callers with their own failure classification -- the fuzz oracle --
+pass ``contain=False``.
 
 Capability tags are advisory labels consumers can filter on: the paper
 distinguishes *formal*, *simulation* and *hybrid* engines, and a

@@ -12,15 +12,17 @@ ignore the rest.
 :class:`~repro.engine.verdict.Verdict`, a witness kind naming *why* the
 verdict can be trusted, the counterexample trace when falsified, the
 contained :class:`AbortInfo` when the engine hit a resource wall, the
-engine's ``PERF`` snapshot and wall-clock seconds.  Both directions of
-JSON conversion are provided so results survive the journal, the result
-files and the worker pipe without a per-layer serialization dialect.
+engine's ``PERF`` snapshot and wall-clock seconds, and -- for a result
+that came back from a forked worker -- the worker's obs records, RSS
+and pid.  Both directions of JSON conversion are provided so results
+survive the journal, the result files and the worker pipe without a
+per-layer serialization dialect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.engine.verdict import Verdict
 from repro.runtime.budget import Budget
@@ -88,6 +90,14 @@ class VerifyResult:
     abort: Optional[AbortInfo] = None
     seconds: float = 0.0
     perf: Dict[str, object] = field(default_factory=dict)
+    #: Worker provenance, set only for results that crossed a worker
+    #: pipe: the worker's drained obs trace records (the parent absorbs
+    #: them into its stitched trace), its RSS and its pid.  In-process
+    #: runs leave them empty -- their spans land in the parent's tracer
+    #: directly.
+    obs: List[dict] = field(default_factory=list)
+    rss_mb: Optional[float] = None
+    pid: Optional[int] = None
     #: Process-local proof artifacts (BDD function + encoding for an
     #: inductive-invariant witness).  Never serialized -- BDD nodes do
     #: not cross process boundaries; certification happens in-process.
@@ -115,6 +125,8 @@ class VerifyResult:
             "trace_length": None if self.trace is None else self.trace.length,
             "abort": None if self.abort is None else self.abort.to_json(),
             "seconds": round(self.seconds, 4),
+            "rss_mb": None if self.rss_mb is None else round(self.rss_mb, 1),
+            "pid": self.pid,
         }
         if include_trace and self.trace is not None:
             payload["trace"] = self.trace.to_json()
@@ -122,6 +134,8 @@ class VerifyResult:
 
     @classmethod
     def from_json(cls, payload: dict) -> "VerifyResult":
+        """Rebuild a result from :meth:`to_json` output (perf, obs and
+        the process-local proof artifacts are not resurrected)."""
         trace = payload.get("trace")
         abort = payload.get("abort")
         return cls(
@@ -132,4 +146,6 @@ class VerifyResult:
             trace=None if trace is None else Trace.from_json(trace),
             abort=None if abort is None else AbortInfo(**abort),
             seconds=payload.get("seconds", 0.0),
+            rss_mb=payload.get("rss_mb"),
+            pid=payload.get("pid"),
         )

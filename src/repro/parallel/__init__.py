@@ -14,19 +14,24 @@ Strategies are engines resolved by name from
 :class:`repro.engine.Verdict`.  Both entry points degrade to in-process
 sequential execution when ``jobs <= 1`` or the platform lacks the
 ``fork`` start method, so every caller can treat parallelism as a pure
-go-faster knob.  See DESIGN.md section 11 for the pool lifecycle,
-budget-slicing and determinism contract.
+go-faster knob.  Both fork through :mod:`repro.parallel.pool`, the one
+worker-process primitive (the service daemon uses it too).  See
+DESIGN.md section 11 for the pool lifecycle, budget-slicing and
+determinism contract.
 """
 
 from repro.engine import Verdict
-from repro.parallel.envelope import WorkerEnvelope, slice_limits
-from repro.parallel.portfolio import PortfolioResult, canonical_witness, race
+from repro.parallel.portfolio import (
+    PortfolioResult,
+    canonical_witness,
+    race,
+    slice_limits,
+)
 from repro.parallel.shard import ShardError, shard_map
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 
 __all__ = [
     "Verdict",
-    "WorkerEnvelope",
     "slice_limits",
     "PortfolioResult",
     "canonical_witness",

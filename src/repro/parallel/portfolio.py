@@ -1,23 +1,30 @@
 """The racing portfolio executor (first definite verdict wins).
 
 ``race`` runs every strategy on the same obligation, each inside its
-own budget slice (see :mod:`repro.parallel.envelope`):
+own budget slice.  Slicing follows one rule: **every strategy gets the
+same slice in sequential and parallel mode**.  :func:`slice_limits`
+divides the caller's remaining wall clock (and countable SAT/BDD
+resources) by the number of strategies once, up front; sequential
+execution burns the slices one after another, parallel execution
+overlaps them.  That equality is what makes the determinism suite's
+"parallel == sequential" contract checkable.
 
 - ``jobs <= 1``: in-process reference mode -- the slices burn one after
   another in :data:`~repro.parallel.worker.STRATEGY_ORDER`, stopping at
   the first definite verdict.  This is the baseline the determinism
   suite compares against.
-- ``jobs >= 2``: up to ``jobs`` forked workers run concurrently; as a
-  worker returns an indefinite envelope the next pending strategy is
-  backfilled into its slot.  The first definite envelope cancels every
-  other worker (``terminate`` then ``join``); losers' slices overlap
+- ``jobs >= 2``: up to ``jobs`` :class:`~repro.parallel.pool.Worker`
+  processes run concurrently; as a worker returns an indefinite result
+  the next pending strategy is backfilled into its slot.  The first
+  definite result cancels every other worker; losers' slices overlap
   instead of serializing, which is the whole wall-clock win.
 
-Cancellation protocol: workers are daemonic and write exactly one
-envelope to their pipe.  The parent polls with
-``multiprocessing.connection.wait``; on a winner (or ``KeyboardInterrupt``)
-it terminates, joins and reaps every live worker in a ``finally`` block,
-so no orphan can outlive the call.
+Cancellation protocol: each worker sends exactly one
+:class:`~repro.engine.VerifyResult` (its "envelope": the strategy's
+result plus the worker's ``PERF`` delta, obs records, RSS and pid).  A
+worker that dies without one becomes an ERROR envelope.  On a winner
+(or ``KeyboardInterrupt``) the parent stops every live worker in a
+``finally`` block, so no orphan can outlive the call.
 
 Determinism contract: every strategy is sound, so *which* strategy wins
 cannot change the verdict, only the latency.  Falsification witnesses
@@ -31,37 +38,85 @@ invariant (BDD functions cannot cross the pipe).
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.property import UnreachabilityProperty
-from repro.engine import DisagreeError, Verdict, join_all
+from repro.engine import DisagreeError, Limits, Verdict, VerifyResult, join_all
 from repro.kernel.perf import PERF
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.netlist.circuit import Circuit
 from repro.obs import tracer as obs
-from repro.parallel.envelope import (
-    WorkerEnvelope,
-    budget_from_limits,
-    slice_limits,
-)
-from repro.parallel.worker import STRATEGY_ORDER, run_strategy, worker_main
+from repro.parallel import pool
+from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosMonkey
 from repro.runtime.supervisor import AbortInfo
 from repro.trace import Trace
 
+#: How long a cancelled worker gets between SIGTERM and SIGKILL.
+STOP_GRACE = 5.0
 
-def _fork_context():
-    """The fork start context, or None when the platform lacks it (then
-    the race degrades to the sequential reference mode)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
+
+def slice_limits(budget: Optional[Budget], ways: int) -> Limits:
+    """Limits for one of ``ways`` equal budget slices.
+
+    Wall clock and countable resources (conflicts, BDD nodes) are split
+    evenly; the memory watermark is process-level and passes through
+    unchanged.  With no budget at all, every field is None (unlimited).
+    """
+    ways = max(1, ways)
+    if budget is None:
+        return Limits()
+    remaining = budget.remaining_seconds()
+    conflicts = budget.remaining_conflicts()
+    return Limits(
+        max_seconds=None if remaining is None else remaining / ways,
+        max_conflicts=None if conflicts is None else max(
+            1, conflicts // ways
+        ),
+        max_bdd_nodes=None if budget.max_bdd_nodes is None else max(
+            1, budget.max_bdd_nodes // ways
+        ),
+        max_memory_mb=budget.max_memory_mb,
+    )
+
+
+def budget_from_limits(
+    limits: Limits,
+    name: str,
+    parent: Optional[Budget] = None,
+) -> Optional[Budget]:
+    """Materialize a slice budget.  ``parent`` (in-process sequential
+    mode only) intersects deadlines and propagates charges upward; a
+    forked worker passes None since the parent lives in another
+    process.  A fully unlimited slice materializes as None, keeping
+    engines on their no-budget fast path."""
+    if parent is None and limits.unlimited():
         return None
+    return Budget(
+        max_seconds=limits.max_seconds,
+        max_conflicts=limits.max_conflicts,
+        max_bdd_nodes=limits.max_bdd_nodes,
+        max_memory_mb=limits.max_memory_mb,
+        name=name,
+        parent=parent,
+    )
+
+
+def _race_worker(send, strategy, circuit, prop, limits, chaos) -> None:
+    """Body of one forked portfolio worker: materialize the budget slice
+    (the clock starts *here*, when the worker starts running) and send
+    exactly one envelope."""
+    budget = budget_from_limits(limits, name=f"portfolio/{strategy}")
+    envelope = run_strategy(strategy, circuit, prop, budget, chaos=chaos)
+    envelope.perf = PERF.snapshot()
+    if obs.TRACER.enabled:
+        envelope.obs = obs.TRACER.drain()
+    envelope.pid = os.getpid()
+    send(envelope)
 
 
 def canonical_witness(
@@ -97,7 +152,7 @@ class PortfolioResult:
     winner: Optional[str] = None
     jobs: int = 1
     strategies: Tuple[str, ...] = ()
-    envelopes: List[WorkerEnvelope] = field(default_factory=list)
+    envelopes: List[VerifyResult] = field(default_factory=list)
     seconds: float = 0.0
     canonical: bool = False
     #: set when two sound strategies answered with contradictory
@@ -116,9 +171,9 @@ class PortfolioResult:
     def aborts(self) -> List[AbortInfo]:
         return [e.abort for e in self.envelopes if e.abort is not None]
 
-    def envelope_of(self, strategy: str) -> Optional[WorkerEnvelope]:
+    def envelope_of(self, strategy: str) -> Optional[VerifyResult]:
         for envelope in self.envelopes:
-            if envelope.strategy == strategy:
+            if envelope.engine == strategy:
                 return envelope
         return None
 
@@ -140,13 +195,13 @@ def _finish(
     result: PortfolioResult,
     circuit: Circuit,
     prop: UnreachabilityProperty,
-    winning: Optional[WorkerEnvelope],
+    winning: Optional[VerifyResult],
     canonicalize: bool,
     start: float,
 ) -> PortfolioResult:
     if winning is not None:
         result.verdict = winning.verdict
-        result.winner = winning.strategy
+        result.winner = winning.engine
         result.trace = winning.trace
     try:
         # The same fold the fuzz oracle uses for consensus: two sound
@@ -206,8 +261,14 @@ def race(
         if log is not None:
             log(message)
 
-    ctx = _fork_context() if jobs >= 2 else None
-    if ctx is None:
+    def collect(envelope: VerifyResult) -> None:
+        result.envelopes.append(envelope)
+        note(
+            f"[portfolio] {envelope.engine}: {envelope.verdict} "
+            f"({envelope.detail}) in {envelope.seconds:.2f}s"
+        )
+
+    if jobs < 2 or pool.fork_context() is None:
         # Sequential reference mode: burn the slices in order.
         winning = None
         for strategy in strategies:
@@ -220,11 +281,7 @@ def race(
             envelope = run_strategy(
                 strategy, circuit, prop, slice_budget, chaos=chaos
             )
-            result.envelopes.append(envelope)
-            note(
-                f"[portfolio] {strategy}: {envelope.verdict} "
-                f"({envelope.detail}) in {envelope.seconds:.2f}s"
-            )
+            collect(envelope)
             if envelope.definite:
                 winning = envelope
                 break
@@ -233,34 +290,27 @@ def race(
         )
 
     pending = list(strategies)
-    running = {}  # conn -> (process, strategy, launch instant)
-    winning: Optional[WorkerEnvelope] = None
+    running = {}  # worker -> strategy
+    winning: Optional[VerifyResult] = None
 
     def launch(strategy: str) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=worker_main,
-            args=(child_conn, strategy, circuit, prop, limits, chaos),
+        worker = pool.Worker(
+            _race_worker, strategy, circuit, prop, limits, chaos,
             name=f"portfolio-{strategy}",
-            daemon=True,
         )
-        proc.start()
-        child_conn.close()  # the child owns its end now
-        running[parent_conn] = (proc, strategy, time.monotonic())
-        note(f"[portfolio] worker {proc.pid} racing {strategy}")
+        running[worker] = strategy
+        note(f"[portfolio] worker {worker.pid} racing {strategy}")
 
-    def note_worker_span(
-        proc, strategy: str, launched: float, outcome: str
-    ) -> None:
+    def note_worker_span(worker, strategy: str, outcome: str) -> None:
         # The parent's view of the worker's lifetime, attributed to the
         # worker's pid lane.  This also covers *cancelled* workers, whose
         # own span buffers die with them -- guaranteeing the stitched
         # trace shows every lane that raced.
         obs.TRACER.record_span(
             "portfolio.worker",
-            ts=launched,
-            dur=time.monotonic() - launched,
-            pid=proc.pid,
+            ts=worker.started,
+            dur=time.monotonic() - worker.started,
+            pid=worker.pid,
             outcome=outcome,
             attrs={"strategy": strategy},
         )
@@ -269,41 +319,29 @@ def race(
         while pending and len(running) < jobs:
             launch(pending.pop(0))
         while running and winning is None:
-            ready = multiprocessing.connection.wait(
-                list(running), timeout=poll_seconds
-            )
-            for conn in ready:
-                proc, strategy, launched = running.pop(conn)
-                try:
-                    envelope = conn.recv()
-                except (EOFError, OSError):
+            ready = pool.wait(list(running), timeout=poll_seconds)
+            for worker in ready:
+                strategy = running.pop(worker)
+                envelope = worker.recv()
+                if isinstance(envelope, pool.Died):
                     # The worker died without an envelope (hard crash,
                     # kill -9): degrade, don't raise.
-                    proc.join()  # exitcode is only valid after the join
-                    envelope = WorkerEnvelope(
-                        strategy=strategy,
+                    envelope = VerifyResult(
+                        engine=strategy,
                         verdict=Verdict.ERROR,
                         detail=(
                             f"worker exited without a result "
-                            f"(exitcode {proc.exitcode})"
+                            f"(exitcode {envelope.exitcode})"
                         ),
-                        pid=proc.pid,
+                        pid=worker.pid,
                     )
-                finally:
-                    conn.close()
-                proc.join()
-                result.envelopes.append(envelope)
+                worker.reap(STOP_GRACE)
                 if envelope.perf:
                     PERF.merge(envelope.perf)
                 if obs.TRACER.enabled:
                     obs.TRACER.absorb(envelope.obs)
-                    note_worker_span(
-                        proc, strategy, launched, envelope.verdict
-                    )
-                note(
-                    f"[portfolio] {strategy}: {envelope.verdict} "
-                    f"({envelope.detail}) in {envelope.seconds:.2f}s"
-                )
+                    note_worker_span(worker, strategy, envelope.verdict)
+                collect(envelope)
                 if envelope.definite and winning is None:
                     winning = envelope
                 elif pending:
@@ -312,22 +350,16 @@ def race(
                 note("[portfolio] parent budget expired; cancelling race")
                 break
     finally:
-        for conn, (proc, strategy, launched) in list(running.items()):
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck in a syscall
-                proc.kill()
-                proc.join(timeout=5.0)
-            conn.close()
+        for worker, strategy in list(running.items()):
+            worker.stop(STOP_GRACE)
             if obs.TRACER.enabled:
-                note_worker_span(proc, strategy, launched, "cancelled")
+                note_worker_span(worker, strategy, "cancelled")
         running.clear()
 
     # Keep the reported envelope order deterministic (strategy order,
     # not completion order).
     order = {name: i for i, name in enumerate(strategies)}
-    result.envelopes.sort(key=lambda e: order.get(e.strategy, len(order)))
+    result.envelopes.sort(key=lambda e: order.get(e.engine, len(order)))
     return finish_race(
         _finish(result, circuit, prop, winning, canonicalize, start)
     )

@@ -21,13 +21,15 @@ interrupt propagates, so Ctrl-C never leaks processes.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import time
 import traceback
 from typing import Callable, List, Optional, Sequence
 
 from repro.obs import tracer as obs
+from repro.parallel import pool
+
+#: How long a cancelled worker gets between SIGTERM and SIGKILL.
+STOP_GRACE = 5.0
 
 
 class ShardError(RuntimeError):
@@ -38,19 +40,17 @@ class ShardError(RuntimeError):
 SKIPPED = "skipped"
 
 
-def _child_main(conn, fn, item) -> None:
-    obs.TRACER.fork_child()
-
+def _shard_worker(send, fn, item) -> None:
     def trace_records() -> list:
         return obs.TRACER.drain() if obs.TRACER.enabled else []
 
     try:
         with obs.span("shard.item"):
             value = fn(item)
-        conn.send(("ok", value, trace_records()))
+        send(("ok", value, trace_records()))
     except Exception as error:
         try:
-            conn.send(
+            send(
                 (
                     "error",
                     f"{error}\n{traceback.format_exc()}",
@@ -58,9 +58,7 @@ def _child_main(conn, fn, item) -> None:
                 )
             )
         except Exception:  # unpicklable error detail: ship text only
-            conn.send(("error", traceback.format_exc(), trace_records()))
-    finally:
-        conn.close()
+            send(("error", traceback.format_exc(), trace_records()))
 
 
 def _run_inline(
@@ -91,16 +89,12 @@ def shard_map(
     other shards' results; callers decide whether to re-raise.
     """
     items = list(items)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        ctx = None
-    if jobs <= 1 or len(items) <= 1 or ctx is None:
+    if jobs <= 1 or len(items) <= 1 or pool.fork_context() is None:
         return _run_inline(fn, items, deadline)
 
     results: List = [SKIPPED] * len(items)
     next_index = 0
-    running = {}  # conn -> (process, item index)
+    running = {}  # worker -> item index
 
     def note(message: str) -> None:
         if log is not None:
@@ -110,16 +104,10 @@ def shard_map(
         nonlocal next_index
         index = next_index
         next_index += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main,
-            args=(child_conn, fn, items[index]),
-            name=f"shard-{index}",
-            daemon=True,
+        worker = pool.Worker(
+            _shard_worker, fn, items[index], name=f"shard-{index}"
         )
-        proc.start()
-        child_conn.close()
-        running[parent_conn] = (proc, index)
+        running[worker] = index
 
     try:
         while next_index < len(items) and len(running) < jobs:
@@ -128,25 +116,18 @@ def shard_map(
             if deadline is not None and time.monotonic() >= deadline:
                 note(f"[shard] deadline hit with {len(running)} running")
                 break
-            ready = multiprocessing.connection.wait(
-                list(running), timeout=poll_seconds
-            )
-            for conn in ready:
-                proc, index = running.pop(conn)
-                try:
-                    message = conn.recv()
-                    status, payload = message[0], message[1]
-                    if len(message) > 2:
-                        obs.TRACER.absorb(message[2])
-                except (EOFError, OSError):
-                    proc.join()  # exitcode is only valid after the join
+            for worker in pool.wait(list(running), timeout=poll_seconds):
+                index = running.pop(worker)
+                message = worker.recv()
+                if isinstance(message, pool.Died):
                     status, payload = "error", (
                         f"shard worker for item {index} died "
-                        f"(exitcode {proc.exitcode})"
+                        f"(exitcode {message.exitcode})"
                     )
-                finally:
-                    conn.close()
-                proc.join()
+                else:
+                    status, payload, records = message
+                    obs.TRACER.absorb(records)
+                worker.reap(STOP_GRACE)
                 results[index] = (
                     payload if status == "ok" else ShardError(payload)
                 )
@@ -155,13 +136,7 @@ def shard_map(
                 ):
                     launch()
     finally:
-        for conn, (proc, _index) in list(running.items()):
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck in a syscall
-                proc.kill()
-                proc.join(timeout=5.0)
-            conn.close()
+        for worker in running:
+            worker.stop(STOP_GRACE)
         running.clear()
     return results

@@ -1,4 +1,4 @@
-"""Portfolio strategy execution and the worker-process entry point.
+"""Portfolio strategies and how one strategy runs.
 
 Each strategy is an engine resolved from :data:`repro.engine.registry`
 by name; all the default entries are *sound*: a definite verdict
@@ -14,13 +14,11 @@ cancellation.  The default race order is
 - ``bmc``        -- plain bounded search (falsification specialist:
   never answers ``verified``).
 
-:func:`run_strategy` wraps a strategy with the same containment the
-supervisor gives in-process steps -- chaos injection sites (the site
-name is the strategy name), ``EngineAbort``/``MemoryError``/
-``RecursionError`` conversion to :class:`AbortInfo` -- so a blown-up
-worker degrades to an UNKNOWN envelope instead of crashing the pool.
-:func:`worker_main` is the child-process body: reset ``PERF``, run,
-ship the envelope, exit.
+:func:`run_strategy` runs a strategy through :meth:`Engine.run`, so a
+blown-up strategy degrades exactly like any engine does (contained
+aborts to UNKNOWN + :class:`AbortInfo`, crashes to ERROR) instead of
+crashing the pool.  It adds only the chaos injection sites (the site
+name is the strategy name) and the ``strategy.<name>`` span.
 """
 
 from __future__ import annotations
@@ -29,16 +27,13 @@ import time
 from typing import Optional, Tuple
 
 from repro.core.property import UnreachabilityProperty
-from repro.engine import FunctionEngine, Limits, Verdict, registry
+from repro.engine import FunctionEngine, Limits, VerifyResult, registry
 from repro.engine.base import EngineBody
-from repro.kernel.perf import PERF
 from repro.netlist.circuit import Circuit
 from repro.obs import tracer as obs
-from repro.parallel.envelope import WorkerEnvelope, budget_from_limits
 from repro.runtime.abort import InjectedFault
 from repro.runtime.budget import Budget, process_rss_mb
 from repro.runtime.chaos import ChaosMonkey, Garbage
-from repro.runtime.supervisor import CONTAINED, AbortInfo
 
 #: Default race order: the paper's engine preference (exact reachability
 #: first, then the CEGAR loop, then the SAT engines).  In sequential
@@ -54,76 +49,44 @@ def run_strategy(
     budget: Optional[Budget] = None,
     chaos: Optional[ChaosMonkey] = None,
     fn: Optional[EngineBody] = None,
-) -> WorkerEnvelope:
-    """Run one strategy under full containment; never raises short of
-    ``KeyboardInterrupt``.  The chaos site name is the strategy name, so
-    ``--chaos bdd=timeout`` breaks the bdd worker exactly like it breaks
-    an in-process supervised step.  ``fn`` substitutes the strategy body
-    (an :data:`EngineBody` returning a ``VerifyResult``) while keeping
-    the name, containment and chaos site -- the service layer uses this
-    to run ``rfn`` with checkpoint/resume wired in."""
-    envelope = WorkerEnvelope(strategy=strategy)
+) -> VerifyResult:
+    """Run one strategy; never raises short of ``KeyboardInterrupt``.
+    The result's ``engine`` is the strategy name.  The chaos site name
+    is the strategy name, so ``--chaos bdd=timeout`` breaks the bdd
+    worker exactly like it breaks an in-process supervised step.
+    ``fn`` substitutes the strategy body (an :data:`EngineBody`) while
+    keeping the name, containment and chaos site -- the service layer
+    uses this to run ``rfn`` with checkpoint/resume wired in."""
+
+    def body(circuit, prop, limits) -> VerifyResult:
+        if chaos is not None:
+            chaos.before(strategy)
+        if fn is None:
+            result = registry.get(strategy).run(
+                circuit, prop, limits, contain=False
+            )
+        else:
+            result = fn(circuit, prop, limits)
+        if chaos is not None:
+            mangled = chaos.mangle(strategy, result.verdict)
+            if isinstance(mangled, Garbage):
+                raise InjectedFault(
+                    f"garbage verdict from {strategy!r}", engine=strategy
+                )
+            result.verdict = mangled
+        return result
+
     start = time.perf_counter()
     with obs.span(f"strategy.{strategy}") as phase:
-        try:
-            if chaos is not None:
-                chaos.before(strategy)
-            engine = (
-                registry.get(strategy)
-                if fn is None
-                else FunctionEngine(strategy, fn)
-            )
-            result = engine.run(
-                circuit, prop, Limits(budget=budget), contain=False
-            )
-            verdict = result.verdict
-            if chaos is not None:
-                mangled = chaos.mangle(strategy, verdict)
-                if isinstance(mangled, Garbage):
-                    raise InjectedFault(
-                        f"garbage verdict from {strategy!r}", engine=strategy
-                    )
-                verdict = mangled
-            envelope.verdict = verdict
-            envelope.trace = result.trace
-            envelope.detail = result.detail
-            envelope.witness = result.witness
-        except CONTAINED as error:
-            envelope.verdict = Verdict.UNKNOWN
-            envelope.abort = AbortInfo.from_exception(strategy, error)
-            envelope.detail = envelope.abort.describe()
-        except Exception as error:  # a strategy crash degrades, never kills
-            envelope.verdict = Verdict.ERROR
-            envelope.detail = f"{type(error).__name__}: {error}"
-        phase.set(verdict=envelope.verdict, detail=envelope.detail)
-    envelope.seconds = time.perf_counter() - start
-    envelope.rss_mb = process_rss_mb()
-    return envelope
-
-
-def worker_main(conn, strategy, circuit, prop, limits, chaos) -> None:
-    """Body of one forked portfolio worker.
-
-    Resets the process-global ``PERF`` so the envelope's snapshot is
-    this worker's delta, materializes the budget slice (the clock starts
-    *here*, when the worker starts running), and ships exactly one
-    envelope back.  A send failure means the parent already cancelled
-    the race; exiting quietly is the correct response.
-    """
-    PERF.reset()
-    # Drop the inherited sink/ring: this child's records travel home in
-    # the envelope, not through the parent's file handle.
-    obs.TRACER.fork_child()
-    budget = budget_from_limits(limits, name=f"portfolio/{strategy}")
-    envelope = run_strategy(strategy, circuit, prop, budget, chaos=chaos)
-    envelope.perf = PERF.snapshot()
-    if obs.TRACER.enabled:
-        envelope.obs = obs.TRACER.drain()
-    import os
-
-    envelope.pid = os.getpid()
-    try:
-        conn.send(envelope)
-        conn.close()
-    except (BrokenPipeError, OSError):  # parent cancelled us mid-send
-        pass
+        result = FunctionEngine(strategy, body).run(
+            circuit, prop, Limits(budget=budget)
+        )
+        phase.set(verdict=result.verdict, detail=result.detail)
+    result.engine = strategy
+    # Proof artifacts are process-local (BDD nodes cannot cross a worker
+    # pipe) and would pin the engine's BDD manager: a strategy result
+    # never carries them.
+    result.invariant = result.invariant_encoding = None
+    result.seconds = time.perf_counter() - start
+    result.rss_mb = process_rss_mb()
+    return result

@@ -52,7 +52,6 @@ from repro.serve.watchdog import (
     RSS_RUNAWAY,
     STALE_HEARTBEAT,
     WatchdogPolicy,
-    preempt,
     rss_of,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "job_worker_main",
     "make_job",
     "new_job_id",
-    "preempt",
     "queue_status",
     "read_result",
     "render_status",

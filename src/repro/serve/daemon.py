@@ -20,13 +20,15 @@ attempt reaches the same verdict the lost one would have.
 
 Failure containment ladder, innermost first:
 
-1. in-worker: :func:`repro.parallel.worker.run_strategy` containment
-   (aborts -> UNKNOWN envelopes, crashes -> ERROR envelopes);
+1. in-worker: :meth:`repro.engine.Engine.run` containment through
+   :func:`repro.parallel.worker.run_strategy` (aborts -> UNKNOWN
+   envelopes, crashes -> ERROR envelopes);
 2. worker death (segfault, OOM kill, ``crash`` chaos fault): pipe EOF,
    failure attributed to the strategy that was running, job requeued
    with exponential backoff + jitter under a bounded retry budget;
 3. hung / frozen / RSS-runaway worker: watchdog preemption
-   (SIGTERM -> SIGKILL), same requeue path;
+   (:meth:`repro.parallel.pool.Worker.stop`, SIGTERM -> SIGKILL), same
+   requeue path;
 4. strategy-level crash loops: circuit breaker quarantine, the job
    proceeds on the surviving engines;
 5. daemon death: WAL replay on restart (the invariant the kill-restart
@@ -35,8 +37,9 @@ Failure containment ladder, innermost first:
 
 SIGTERM/SIGINT trigger a graceful drain: no new launches, in-flight
 jobs get ``drain_grace`` seconds to finish (their RFN checkpoints are
-already on disk), stragglers are preempted and requeued, the journal is
-flushed, and the daemon exits 0.
+already on disk), stragglers are preempted and requeued without blaming
+the strategy they were running, the journal is flushed, and the daemon
+exits 0.
 """
 
 from __future__ import annotations
@@ -49,24 +52,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import multiprocessing
-import multiprocessing.connection
-
 from repro.core.property import UnreachabilityProperty
 from repro.kernel.perf import PERF
 from repro.netlist.textio import circuit_from_text
 from repro.obs import tracer as obs
-from repro.engine import (
-    Verdict,
-    VerifyResult,
-    WITNESS_INVARIANT,
-    WITNESS_TRACE,
-)
-from repro.parallel.envelope import (
-    WorkerEnvelope,
-    budget_from_limits,
-    slice_limits,
-)
+from repro.engine import Verdict, VerifyResult
+from repro.parallel import pool
+from repro.parallel.portfolio import budget_from_limits, slice_limits
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosMonkey
@@ -75,7 +67,7 @@ from repro.runtime.fsio import atomic_write_text
 from repro.serve.breaker import BreakerBoard
 from repro.serve.journal import Journal
 from repro.serve.queue import QUEUED, RETRY_LATER, RUNNING, Job, JobStore
-from repro.serve.watchdog import WatchdogPolicy, kill_pid, preempt, rss_of
+from repro.serve.watchdog import WatchdogPolicy, kill_pid, rss_of
 
 
 class ServeError(RuntimeError):
@@ -132,6 +124,7 @@ def _rfn_with_checkpoint(checkpoint_path: str):
 
     def body(circuit, prop, limits) -> VerifyResult:
         from repro.core.rfn import RfnConfig, rfn_verify
+        from repro.engine.adapters import rfn_verify_result
 
         resume = None
         try:
@@ -149,53 +142,21 @@ def _rfn_with_checkpoint(checkpoint_path: str):
             if result.resumed_iterations
             else ""
         )
-        if result.verified:
-            return VerifyResult(
-                engine="rfn",
-                verdict=Verdict.VERIFIED,
-                detail=(
-                    f"CEGAR verified in {len(result.iterations)} "
-                    f"iterations{resumed}"
-                ),
-                witness=WITNESS_INVARIANT,
-                invariant=result.invariant,
-                invariant_encoding=result.invariant_encoding,
-            )
-        if result.falsified:
-            return VerifyResult(
-                engine="rfn",
-                verdict=Verdict.FALSIFIED,
-                detail=(
-                    f"CEGAR falsified in {len(result.iterations)} "
-                    f"iterations{resumed}"
-                ),
-                witness=WITNESS_TRACE,
-                trace=result.trace,
-            )
-        return VerifyResult(
-            engine="rfn",
-            verdict=Verdict.UNKNOWN,
-            detail=result.detail or "CEGAR resource limit",
-        )
+        return rfn_verify_result(result, resumed)
 
     return body
 
 
-def job_worker_main(conn, heartbeat, payload: dict) -> None:
-    """Child-process body for one job attempt.
+def job_worker_main(send, heartbeat, payload: dict) -> None:
+    """Child-process body for one job attempt (a :class:`pool.Worker`
+    target).
 
     Protocol (one pickled tuple per message, in order):
     ``("strategy", name)`` before each strategy starts -- the parent's
-    crash attribution anchor; ``("envelope", WorkerEnvelope)`` after
-    each strategy; ``("result", dict)`` exactly once at the end.  Death
+    crash attribution anchor; ``("envelope", VerifyResult)`` after each
+    strategy; ``("result", dict)`` exactly once at the end.  Death
     without a ``result`` is the parent's signal to requeue.
     """
-    # The parent installed drain handlers before forking; this process
-    # must die on SIGTERM (watchdog preemption), not set a drain flag.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    PERF.reset()
-    obs.TRACER.fork_child()
     beat_interval = float(payload.get("heartbeat_interval", 0.25))
     threading.Thread(
         target=_heartbeat_loop,
@@ -204,11 +165,18 @@ def job_worker_main(conn, heartbeat, payload: dict) -> None:
     ).start()
     start = time.perf_counter()
 
-    def send(message: Tuple) -> None:
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):  # parent is gone; die quietly
-            os._exit(0)
+    def send_result(verdict, detail, permanent=False, winner=None) -> None:
+        trace = None if winner is None else winner.trace
+        send(("result", {
+            "verdict": verdict,
+            "detail": detail,
+            "permanent": permanent,
+            "winner": None if winner is None else winner.engine,
+            "trace_length": None if trace is None else trace.length,
+            "seconds": time.perf_counter() - start,
+            "perf": PERF.snapshot(),
+            "obs": obs.TRACER.drain() if obs.TRACER.enabled else [],
+        }))
 
     try:
         circuit = circuit_from_text(payload["netlist"])
@@ -219,22 +187,9 @@ def job_worker_main(conn, heartbeat, payload: dict) -> None:
         prop.validate_against(circuit)
     except Exception as error:
         # Bad job payload: a *permanent* error -- retrying cannot help.
-        send(
-            (
-                "result",
-                {
-                    "verdict": Verdict.ERROR,
-                    "detail": f"{type(error).__name__}: {error}",
-                    "permanent": True,
-                    "winner": None,
-                    "trace_length": None,
-                    "seconds": time.perf_counter() - start,
-                    "perf": PERF.snapshot(),
-                    "obs": [],
-                },
-            )
+        send_result(
+            Verdict.ERROR, f"{type(error).__name__}: {error}", permanent=True
         )
-        conn.close()
         return
 
     strategies = list(payload["strategies"]) or ["rfn"]
@@ -246,8 +201,8 @@ def job_worker_main(conn, heartbeat, payload: dict) -> None:
     limits = slice_limits(budget, len(strategies))
     checkpoint_path = payload.get("checkpoint")
 
-    winner: Optional[WorkerEnvelope] = None
-    last: Optional[WorkerEnvelope] = None
+    winner: Optional[VerifyResult] = None
+    last: Optional[VerifyResult] = None
     with obs.span("serve.attempt", job=payload.get("id", "?")) as attempt:
         for strategy in strategies:
             send(("strategy", strategy))
@@ -271,34 +226,14 @@ def job_worker_main(conn, heartbeat, payload: dict) -> None:
         )
 
     if winner is not None:
-        verdict, detail = winner.verdict, winner.detail
-        winning_strategy: Optional[str] = winner.strategy
-        trace_length = (
-            None if winner.trace is None else winner.trace.length
-        )
+        send_result(winner.verdict, winner.detail, winner=winner)
     elif last is not None and last.verdict is Verdict.ERROR:
-        verdict, detail = Verdict.ERROR, last.detail
-        winning_strategy, trace_length = None, None
+        send_result(Verdict.ERROR, last.detail)
     else:
-        verdict = Verdict.UNKNOWN
-        detail = last.detail if last is not None else "no strategies ran"
-        winning_strategy, trace_length = None, None
-    send(
-        (
-            "result",
-            {
-                "verdict": verdict,
-                "detail": detail,
-                "permanent": False,
-                "winner": winning_strategy,
-                "trace_length": trace_length,
-                "seconds": time.perf_counter() - start,
-                "perf": PERF.snapshot(),
-                "obs": obs.TRACER.drain() if obs.TRACER.enabled else [],
-            },
+        send_result(
+            Verdict.UNKNOWN,
+            last.detail if last is not None else "no strategies ran",
         )
-    )
-    conn.close()
 
 
 def _orphan_pids(records: List[dict]) -> Dict[str, int]:
@@ -362,26 +297,23 @@ class ServeConfig:
 
 
 class _Slot:
-    """One in-flight worker: process, pipe, heartbeat, attribution."""
+    """One in-flight worker: pool worker, heartbeat, attribution."""
 
-    def __init__(self, process, conn, heartbeat, job: Job,
+    def __init__(self, worker: pool.Worker, heartbeat, job: Job,
                  admitted: List[str]) -> None:
-        self.process = process
-        self.conn = conn
+        self.worker = worker
         self.heartbeat = heartbeat
         self.job = job
         self.admitted = admitted
-        self.started = time.monotonic()
         self.current_strategy: Optional[str] = None
         self.finished_strategies: List[str] = []
 
-    def unprobed(self) -> List[str]:
-        """Admitted strategies that never started (their half-open
-        probes must be released back to the breaker board)."""
-        ran = set(self.finished_strategies)
-        if self.current_strategy is not None:
-            ran.add(self.current_strategy)
-        return [s for s in self.admitted if s not in ran]
+    def unresolved(self) -> List[str]:
+        """Admitted strategies with no recorded outcome (unless blamed,
+        their half-open probes must be released back to the breaker
+        board)."""
+        done = set(self.finished_strategies)
+        return [s for s in self.admitted if s not in done]
 
 
 class Daemon:
@@ -410,18 +342,15 @@ class Daemon:
             heartbeat_timeout=config.heartbeat_timeout,
             rss_limit_mb=config.rss_limit_mb,
         )
-        self.slots: Dict[object, _Slot] = {}  # conn -> slot
+        self.slots: Dict[pool.Worker, _Slot] = {}
         self.preemptions = 0
         self.worker_deaths = 0
         self.jobs_done = 0
         self._draining = False
         self._drain_deadline: Optional[float] = None
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            raise ServeError(
-                "repro serve requires the fork start method"
-            ) from None
+        self._ctx = pool.fork_context()
+        if self._ctx is None:  # pragma: no cover - non-POSIX
+            raise ServeError("repro serve requires the fork start method")
 
     # -- plumbing -------------------------------------------------------
 
@@ -576,28 +505,20 @@ class Daemon:
             ),
             heartbeat_interval=self.config.heartbeat_interval,
         )
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         heartbeat = self._ctx.Value("d", time.monotonic(), lock=False)
-        process = self._ctx.Process(
-            target=job_worker_main,
-            args=(child_conn, heartbeat, payload),
-            name=f"serve-{job.id}",
-            daemon=True,
+        worker = pool.Worker(
+            job_worker_main, heartbeat, payload, name=f"serve-{job.id}"
         )
-        process.start()
-        child_conn.close()
-        self.store.note_worker(job, process.pid)
-        self.slots[parent_conn] = _Slot(
-            process, parent_conn, heartbeat, job, admitted
-        )
+        self.store.note_worker(job, worker.pid)
+        self.slots[worker] = _Slot(worker, heartbeat, job, admitted)
         self._note(
-            f"[serve] worker {process.pid} starts {job.id} "
+            f"[serve] worker {worker.pid} starts {job.id} "
             f"attempt {job.attempt} [{','.join(admitted)}]"
         )
 
     # -- outcome folding ------------------------------------------------
 
-    def _strategy_failed(self, envelope: WorkerEnvelope) -> bool:
+    def _strategy_failed(self, envelope: VerifyResult) -> bool:
         """Breaker policy: hard failures only.  A crash (ERROR) or a
         memory abort counts against the engine; a clean UNKNOWN or a
         cooperative timeout is a legitimate outcome of budget slicing,
@@ -611,9 +532,9 @@ class Daemon:
         if obs.TRACER.enabled:
             obs.TRACER.record_span(
                 "serve.job",
-                ts=slot.started,
-                dur=time.monotonic() - slot.started,
-                pid=slot.process.pid,
+                ts=slot.worker.started,
+                dur=time.monotonic() - slot.worker.started,
+                pid=slot.worker.pid,
                 outcome=outcome,
                 attrs={
                     "job": slot.job.id,
@@ -624,7 +545,7 @@ class Daemon:
             )
 
     def _finish_from_result(self, slot: _Slot, result: dict) -> None:
-        for strategy in slot.unprobed():
+        for strategy in slot.unresolved():
             self.board.release(strategy)
         job = slot.job
         verdict = result.get("verdict", Verdict.UNKNOWN)
@@ -674,104 +595,92 @@ class Daemon:
         self._close_attempt_span(slot, f"infra:{reason.split(' ')[0]}")
 
     def _reap(self, slot: _Slot, reason: str,
-              blame: Optional[str] = None) -> None:
-        """Common teardown for a dead/preempted worker: join, attribute
-        the failure to the strategy that was running, requeue."""
-        slot.process.join(timeout=self.config.preempt_grace)
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
-        blamed = blame or slot.current_strategy
-        if blamed is not None:
-            self.board.record(blamed, ok=False)
-        for strategy in slot.unprobed():
-            self.board.release(strategy)
+              blame: Optional[str]) -> None:
+        """Common teardown for a dead/stopped worker: record the failure
+        against ``blame`` (the strategy that was running when the worker
+        died or hung; None when the daemon itself chose to stop it),
+        release every other unresolved probe, requeue."""
+        if blame is not None:
+            self.board.record(blame, ok=False)
+        for strategy in slot.unresolved():
+            if strategy != blame:
+                self.board.release(strategy)
         self._requeue_or_fail(slot, reason)
 
-    def _handle_message(self, slot: _Slot, message: Tuple) -> None:
+    def _handle_message(self, slot: _Slot, message: tuple) -> None:
         kind, payload = message[0], message[1]
         if kind == "strategy":
             slot.current_strategy = payload
         elif kind == "envelope":
-            envelope: WorkerEnvelope = payload
-            slot.finished_strategies.append(envelope.strategy)
-            if slot.current_strategy == envelope.strategy:
+            envelope: VerifyResult = payload
+            slot.finished_strategies.append(envelope.engine)
+            if slot.current_strategy == envelope.engine:
                 slot.current_strategy = None
             self.board.record(
-                envelope.strategy, ok=not self._strategy_failed(envelope)
+                envelope.engine, ok=not self._strategy_failed(envelope)
             )
         elif kind == "result":
-            del self.slots[slot.conn]
+            del self.slots[slot.worker]
             self._finish_from_result(slot, payload)
-            slot.process.join(timeout=self.config.preempt_grace)
-            if slot.process.is_alive():  # pragma: no cover - stuck exit
-                slot.process.kill()
-                slot.process.join(timeout=self.config.preempt_grace)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
+            slot.worker.reap(self.config.preempt_grace)
 
     def _poll_workers(self) -> None:
         if not self.slots:
             time.sleep(self.config.poll_seconds)
             return
-        ready = multiprocessing.connection.wait(
+        for worker in pool.wait(
             list(self.slots), timeout=self.config.poll_seconds
-        )
-        for conn in ready:
-            slot = self.slots.get(conn)
+        ):
+            slot = self.slots.get(worker)
             if slot is None:
                 continue
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
+            message = worker.recv()
+            if isinstance(message, pool.Died):
                 # Hard worker death without a result message.
-                del self.slots[conn]
+                del self.slots[worker]
                 self.worker_deaths += 1
-                slot.process.join()
-                exitcode = slot.process.exitcode
                 during = slot.current_strategy or "startup"
                 obs.event(
                     "serve.worker_death",
                     job=slot.job.id,
-                    pid=slot.process.pid,
-                    exitcode=exitcode,
+                    pid=worker.pid,
+                    exitcode=message.exitcode,
                     strategy=during,
                 )
                 self._reap(
                     slot,
-                    f"worker died (exitcode {exitcode}) during {during}",
+                    f"worker died (exitcode {message.exitcode}) "
+                    f"during {during}",
+                    blame=slot.current_strategy,
                 )
                 continue
             self._handle_message(slot, message)
 
     def _run_watchdog(self) -> None:
         now = time.monotonic()
-        for conn, slot in list(self.slots.items()):
-            if not slot.process.is_alive():
+        for worker, slot in list(self.slots.items()):
+            if not worker.process.is_alive():
                 continue  # the pipe EOF path will reap it
             violation = self.policy.check(
-                started=slot.started,
+                started=worker.started,
                 last_beat=slot.heartbeat.value,
-                rss_mb=rss_of(slot.process.pid),
+                rss_mb=rss_of(worker.pid),
                 now=now,
             )
             if violation is None:
                 continue
-            del self.slots[conn]
+            del self.slots[worker]
             self.preemptions += 1
-            how = preempt(slot.process, self.config.preempt_grace)
+            how = worker.stop(self.config.preempt_grace)
             obs.event(
                 "watchdog.preempt",
                 job=slot.job.id,
-                pid=slot.process.pid,
+                pid=worker.pid,
                 reason=violation,
                 how=how,
             )
             self._note(
-                f"[serve] watchdog preempts worker {slot.process.pid} "
+                f"[serve] watchdog preempts worker {worker.pid} "
                 f"({slot.job.id}): {violation} -> {how}"
             )
             during = slot.current_strategy
@@ -805,21 +714,19 @@ class Daemon:
     def _shutdown(self) -> None:
         """Preempt and requeue whatever is still in flight (drain-grace
         expiry or an exception unwinding the loop)."""
-        for conn, slot in list(self.slots.items()):
-            del self.slots[conn]
-            how = preempt(slot.process, self.config.preempt_grace)
+        for worker, slot in list(self.slots.items()):
+            del self.slots[worker]
+            how = worker.stop(self.config.preempt_grace)
             obs.event(
                 "watchdog.preempt",
                 job=slot.job.id,
-                pid=slot.process.pid,
+                pid=worker.pid,
                 reason="drain",
                 how=how,
             )
-            during = slot.current_strategy
             # Drain preemption is the daemon's choice, not the engine's
             # fault: requeue without blaming a strategy.
             self._reap(slot, "preempted by drain", blame=None)
-            del during
 
     def run(self) -> int:
         """Serve until drained (or until idle with ``until_idle``).

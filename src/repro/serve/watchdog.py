@@ -17,10 +17,10 @@ the failures that *don't* announce themselves:
   at random.
 
 Policy (:class:`WatchdogPolicy`, pure and clock-injectable for tests)
-is separated from mechanism (:func:`preempt`): preemption sends
-SIGTERM, waits ``grace_seconds`` for a clean death, then escalates to
-SIGKILL -- a worker stuck in an uninterruptible syscall cannot dodge
-it.  The daemon then requeues the job with backoff and feeds the
+is separated from mechanism (:meth:`repro.parallel.pool.Worker.stop`):
+preemption sends SIGTERM, waits the grace period for a clean death,
+then escalates to SIGKILL -- a worker stuck in an uninterruptible
+syscall cannot dodge it.  The daemon then requeues the job with backoff and feeds the
 failure to the responsible strategy's circuit breaker.
 """
 
@@ -91,25 +91,10 @@ class WatchdogPolicy:
         return None
 
 
-def preempt(process, grace_seconds: float = 2.0) -> str:
-    """SIGTERM -> grace -> SIGKILL escalation on a multiprocessing
-    Process.  Returns ``"sigterm"`` or ``"sigkill"`` (how it died);
-    idempotent on an already-dead process (returns ``"dead"``)."""
-    if not process.is_alive():
-        process.join(timeout=0)
-        return "dead"
-    process.terminate()  # SIGTERM: workers run SIG_DFL, so this kills
-    process.join(timeout=grace_seconds)
-    if not process.is_alive():
-        return "sigterm"
-    process.kill()  # SIGKILL: cannot be caught, blocked, or ignored
-    process.join(timeout=grace_seconds)
-    return "sigkill"
-
-
 def kill_pid(pid: int, grace_seconds: float = 2.0) -> None:
-    """Best-effort raw-pid variant of :func:`preempt` (used for orphan
-    cleanup where no Process handle survives a daemon restart)."""
+    """Best-effort raw-pid variant of :meth:`Worker.stop
+    <repro.parallel.pool.Worker.stop>` (used for orphan cleanup where
+    no worker handle survives a daemon restart)."""
     try:
         os.kill(pid, signal.SIGTERM)
     except (OSError, ProcessLookupError):

@@ -34,7 +34,6 @@ from repro.engine import (
     result_exit,
     verdict_to_exit,
 )
-from repro.parallel.envelope import WorkerEnvelope
 from repro.runtime.supervisor import AbortInfo
 from repro.trace import Trace
 
@@ -272,35 +271,42 @@ def test_verify_result_round_trip_with_abort():
 
 
 def test_worker_envelope_json_round_trip():
-    envelope = WorkerEnvelope(
-        strategy="kinduction",
+    # A result that came back from a forked worker: its provenance
+    # fields (pid, RSS) survive the JSON round trip.
+    result = VerifyResult(
+        engine="kinduction",
         verdict=Verdict.VERIFIED,
         detail="k-induction at depth 2",
         witness="k-induction",
         trace=None,
         seconds=0.5,
+        rss_mb=42.0,
         pid=123,
     )
-    payload = json.loads(json.dumps(envelope.to_json()))
-    clone = WorkerEnvelope.from_json(payload)
+    payload = json.loads(json.dumps(result.to_json()))
+    clone = VerifyResult.from_json(payload)
     assert clone.verdict is Verdict.VERIFIED
     assert clone.witness == "k-induction"
-    assert clone.strategy == "kinduction"
+    assert clone.engine == "kinduction"
     assert clone.pid == 123
+    assert clone.rss_mb == 42.0
+    assert clone.trace is None
 
 
 def test_worker_envelope_round_trip_carries_trace():
-    envelope = WorkerEnvelope(
-        strategy="bmc",
+    result = VerifyResult(
+        engine="bmc",
         verdict=Verdict.FALSIFIED,
         witness=WITNESS_TRACE,
         trace=_sample_trace(),
+        pid=77,
     )
-    payload = json.loads(json.dumps(envelope.to_json(include_trace=True)))
-    clone = WorkerEnvelope.from_json(payload)
+    payload = json.loads(json.dumps(result.to_json(include_trace=True)))
+    clone = VerifyResult.from_json(payload)
     assert clone.verdict is Verdict.FALSIFIED
-    assert clone.trace.states == envelope.trace.states
-    assert clone.trace.inputs == envelope.trace.inputs
+    assert clone.pid == 77
+    assert clone.trace.states == result.trace.states
+    assert clone.trace.inputs == result.trace.inputs
 
 
 def test_witness_kinds_are_distinct():

@@ -31,12 +31,7 @@ from repro.fuzz.campaign import run_campaign
 from repro.fuzz.gen import generate_instance
 from repro.kernel.perf import PERF
 from repro.engine import FunctionEngine, Verdict, VerifyResult, registry
-from repro.parallel.envelope import (
-    WorkerEnvelope,
-    budget_from_limits,
-    slice_limits,
-)
-from repro.parallel.portfolio import race
+from repro.parallel.portfolio import budget_from_limits, race, slice_limits
 from repro.parallel.shard import SKIPPED, ShardError, shard_map
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 from repro.runtime.abort import EngineAbort, MemoryOut
@@ -93,7 +88,7 @@ def test_sequential_race_stops_at_first_definite():
     circuit, prop = toggle_design()
     result = race(circuit, prop)
     assert result.verified
-    assert result.winner == result.envelopes[0].strategy == "bdd"
+    assert result.winner == result.envelopes[0].engine == "bdd"
     # Strategies after the winner never ran.
     assert len(result.envelopes) == 1
 
@@ -101,7 +96,7 @@ def test_sequential_race_stops_at_first_definite():
 def test_envelope_report_order_is_strategy_order():
     instance, _ = _baseline(0)
     result = race(instance.circuit, instance.prop, jobs=4)
-    reported = [e.strategy for e in result.envelopes]
+    reported = [e.engine for e in result.envelopes]
     order = {name: i for i, name in enumerate(STRATEGY_ORDER)}
     assert reported == sorted(reported, key=order.__getitem__)
 
@@ -271,7 +266,9 @@ def test_envelope_pickles_with_abort_and_trace():
     chaos = ChaosMonkey.parse("bdd=memory")
     envelope = run_strategy("bdd", instance.circuit, instance.prop,
                             chaos=chaos)
+    assert isinstance(envelope, VerifyResult)
     clone = pickle.loads(pickle.dumps(envelope))
+    assert clone.engine == "bdd"
     assert clone.verdict is envelope.verdict is Verdict.UNKNOWN
     assert clone.abort.resource == "memory"
     assert clone.rss_mb == envelope.rss_mb
@@ -452,7 +449,8 @@ def test_rfn_parallel_matches_sequential_status(builder):
 # --------------------------------------------------------------------
 
 
-_INTERRUPT_CHILD = """
+_INTERRUPT_CHILDREN = {
+    "race": """
 import sys
 sys.path.insert(0, {src!r})
 from repro.designs.counters import lfsr
@@ -468,13 +466,31 @@ race(
     log=lambda m: print(m, flush=True),
 )
 print("RACE-DONE", flush=True)
-"""
+""",
+    # Every item announces its worker, then outlasts the test.
+    "shard_map": """
+import os
+import sys
+import time
+sys.path.insert(0, {src!r})
+from repro.parallel import shard_map
+
+def slow(item):
+    print(f"worker {{os.getpid()}} racing item {{item}}", flush=True)
+    time.sleep(120.0)
+    return item
+
+shard_map(slow, [0, 1, 2], jobs=2)
+print("RACE-DONE", flush=True)
+""",
+}
 
 
-def test_keyboard_interrupt_reaps_all_workers():
+@pytest.mark.parametrize("script", sorted(_INTERRUPT_CHILDREN))
+def test_keyboard_interrupt_reaps_all_workers(script):
     src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
     child = subprocess.Popen(
-        [sys.executable, "-c", _INTERRUPT_CHILD.format(
+        [sys.executable, "-c", _INTERRUPT_CHILDREN[script].format(
             src=os.path.abspath(src)
         )],
         stdout=subprocess.PIPE,

@@ -26,6 +26,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -37,6 +38,7 @@ from repro.obs.report import render_report
 from repro.parallel.worker import run_strategy
 from repro.serve import (
     OPEN,
+    QUEUED,
     RETRY_LATER,
     Daemon,
     Job,
@@ -288,6 +290,53 @@ class TestWatchdog:
         result = read_result(queue_dir, job_id)
         assert result["verdict"] == "falsified"
         assert result["winner"] == "bmc"
+
+
+class TestDrain:
+    def test_drain_does_not_blame_the_running_strategy(self, tmp_path):
+        """A graceful drain stops a worker by the daemon's own choice:
+        the strategy it was running records no breaker outcome, and the
+        job goes back to the queue."""
+        queue_dir = str(tmp_path / "q")
+        job_id = submit_job(
+            queue_dir,
+            design_job(
+                buggy_counter,
+                "cnt",
+                strategies=["kinduction"],
+                chaos="kinduction=sleep",
+            ),
+        )
+        daemon = Daemon(
+            fast_config(
+                queue_dir, workers=1, hang_seconds=None, drain_grace=0.5
+            )
+        )
+        seen = []
+
+        def drain_once_running():
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if any(
+                    slot.current_strategy == "kinduction"
+                    for slot in list(daemon.slots.values())
+                ):
+                    seen.append(True)
+                    break
+                time.sleep(0.02)
+            daemon._request_drain()
+
+        drainer = threading.Thread(target=drain_once_running)
+        drainer.start()
+        try:
+            assert daemon.run() == 0
+        finally:
+            drainer.join()
+        assert seen, "the kinduction strategy never started"
+        breaker = daemon.board.breaker("kinduction")
+        assert breaker.consecutive_failures == 0
+        assert list(breaker.window) == []
+        assert daemon.store.jobs[job_id].state == QUEUED
 
 
 class TestOrphanCleanup:
