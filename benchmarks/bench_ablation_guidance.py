@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.atpg.engine import AtpgBudget
 from repro.core import RFN, RfnConfig
 from repro.core.abstraction import Abstraction
 from repro.core.guided import guided_concrete_search
@@ -23,12 +22,13 @@ from repro.core.hybrid import HybridTraceEngine
 from repro.designs import password_lock
 from repro.mc import ImageComputer, SymbolicEncoding, forward_reach
 from repro.mc.reach import ReachOutcome
+from repro.runtime.budget import Limits
 from reporting import emit_table
 
 DEPTHS = [4, 8, 12, 16]
 SECRET_WIDTH = 10
 SLACK = 8  # extra search depth beyond the trace: where guidance matters
-BUDGET = AtpgBudget(max_conflicts=20_000)
+LIMITS = Limits(max_conflicts=20_000)
 _ROWS = {}
 
 
@@ -65,11 +65,11 @@ def test_guidance_sweep(benchmark, depth):
 
     def run_both():
         guided = guided_concrete_search(
-            circuit, prop, [trace], budget=BUDGET,
+            circuit, prop, [trace], limits=LIMITS,
             use_guidance=True, extra_depth=SLACK,
         )
         unguided = guided_concrete_search(
-            circuit, prop, [trace], budget=BUDGET,
+            circuit, prop, [trace], limits=LIMITS,
             use_guidance=False, extra_depth=SLACK,
         )
         return guided, unguided
@@ -95,7 +95,7 @@ def report():
     emit_table(
         "ablation_guidance",
         "Ablation (Section 2.3): guided vs unguided sequential ATPG, "
-        f"conflict budget {BUDGET.max_conflicts}",
+        f"conflict budget {LIMITS.max_conflicts}",
         ["Bug depth", "Guided", "Guided conflicts",
          "Unguided", "Unguided conflicts"],
         rows,

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RFN, RfnConfig, RfnStatus
+from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
-from repro.mc import CheckOutcome, model_check_coi
-from repro.mc.reach import ReachLimits
+from repro.engine import Limits, Verdict, registry
 from repro.netlist.ops import coi_stats
 from reporting import emit_table
 
@@ -44,7 +43,7 @@ def test_table1_rfn(benchmark, workload):
         ).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    expected = RfnStatus.VERIFIED if workload.expected else RfnStatus.FALSIFIED
+    expected = Verdict.VERIFIED if workload.expected else Verdict.FALSIFIED
     assert result.status is expected
     _ROWS[workload.name] = (
         workload.name,
@@ -64,18 +63,19 @@ def test_table1_rfn(benchmark, workload):
 def test_table1_plain_smc_baseline(benchmark, workload):
     """The paper's baseline: plain symbolic model checking with COI
     reduction 'failed to verify any of the above five properties'.  The
-    processor rows reproduce that failure within the resource budget."""
+    processor rows reproduce that failure within the resource budget.
+    That checker is the ``bdd`` engine."""
 
     def run():
-        return model_check_coi(
+        return registry.get("bdd").run(
             workload.circuit,
             workload.prop,
-            limits=ReachLimits(max_nodes=60_000, max_seconds=30),
+            Limits(max_bdd_nodes=60_000, max_seconds=30),
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result.outcome is CheckOutcome.RESOURCE_OUT
-    _BASELINE[workload.name] = result.outcome.value
+    assert result.verdict is Verdict.UNKNOWN
+    _BASELINE[workload.name] = f"{result.verdict} ({result.detail})"
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -20,9 +20,10 @@ from repro.aig import circuit_to_aig, to_aiger
 from repro.aig.convert import strash_circuit
 from repro.core import RFN, UnreachabilityProperty
 from repro.core.certify import certify_invariant
-from repro.mc import model_check_coi
+from repro.engine import registry
 from repro.mc.bmc import bmc
 from repro.netlist import parse_verilog
+from repro.netlist.ops import coi_stats
 
 RTL = """
 // A traffic-light controller: green -> yellow -> red -> green, with a
@@ -66,9 +67,10 @@ def main():
           f"{optimized.num_registers} registers in the abstract model)")
 
     # 3b. Plain symbolic model checking with COI reduction.
-    smc = model_check_coi(optimized, prop)
-    print(f"plain SMC:    {smc.outcome.value} "
-          f"({smc.coi_registers} COI registers)")
+    smc = registry.get("bdd").run(optimized, prop)
+    coi_regs, _ = coi_stats(optimized, prop.signals())
+    print(f"plain SMC:    {smc.verdict} "
+          f"({coi_regs} COI registers)")
 
     # 3c. SAT-based k-induction.
     kind = bmc(optimized, prop, max_depth=16, unique_states=True)

@@ -19,7 +19,6 @@ querying the budgeted CDCL solver from :mod:`repro.sat`:
 
 from repro.atpg.encode import Unroller
 from repro.atpg.engine import (
-    AtpgBudget,
     AtpgOutcome,
     AtpgResult,
     combinational_atpg,
@@ -27,7 +26,6 @@ from repro.atpg.engine import (
 )
 
 __all__ = [
-    "AtpgBudget",
     "AtpgOutcome",
     "AtpgResult",
     "Unroller",

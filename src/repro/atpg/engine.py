@@ -25,8 +25,7 @@ the active ones to simulation and to their initial values.
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.atpg.encode import Unroller
@@ -35,6 +34,7 @@ from repro.kernel.scache import solver_session
 from repro.obs import tracer as obs
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
+from repro.runtime.budget import Limits
 from repro.sat.solver import SatStatus, Solver
 from repro.sim.simulator import Simulator
 
@@ -47,45 +47,21 @@ class AtpgOutcome(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
-class AtpgBudget:
-    """Resource limits; ``None`` means unlimited.
+#: Conflict cap of an ATPG call made without ``limits``.
+DEFAULT_MAX_CONFLICTS = 200_000
 
-    The propagation cap is the solver's best wall-clock proxy: it bounds
-    searches that wander without conflicting (huge satisfiable-looking
-    unrollings), which a pure conflict budget never would.
 
-    ``max_seconds``/``deadline`` put a true wall-clock bound on every
-    solver call (``deadline`` is an absolute ``time.monotonic()``
-    instant; ``max_seconds`` is relative to the call).  Exceeding either
-    keeps the historical return-code semantics (``ABORTED``).
-    ``runtime`` optionally attaches a :class:`repro.runtime.Budget`,
-    which charges conflicts/decisions to the shared run budget and
-    *raises* a structured ``EngineAbort`` -- the portfolio supervisor's
-    exception-based path."""
-
-    max_conflicts: Optional[int] = 200_000
-    max_decisions: Optional[int] = None
-    max_propagations: Optional[int] = 50_000_000
-    max_seconds: Optional[float] = None
-    deadline: Optional[float] = None
-    runtime: Optional[object] = None
-
-    def solve_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments for :meth:`repro.sat.solver.Solver.solve`."""
-        deadline = self.deadline
-        if self.max_seconds is not None:
-            relative = time.monotonic() + self.max_seconds
-            deadline = (
-                relative if deadline is None else min(deadline, relative)
-            )
-        return {
-            "max_conflicts": self.max_conflicts,
-            "max_decisions": self.max_decisions,
-            "max_propagations": self.max_propagations,
-            "deadline": deadline,
-            "budget": self.runtime,
-        }
+def atpg_limits(limits: Optional[Limits] = None) -> Limits:
+    """The envelope an ATPG call runs under: ``limits`` as given (an
+    unset cap is unlimited), or the default conflict cap when the caller
+    gives none.  Every call also carries the module-wide propagation cap
+    (:data:`repro.runtime.budget.MAX_PROPAGATIONS`); exceeding a cap or
+    ``max_seconds`` answers ``ABORTED``, while an attached ``budget``
+    charges the shared run budget and *raises* a structured
+    ``EngineAbort`` -- the supervisor's exception-based path."""
+    if limits is None:
+        return Limits(max_conflicts=DEFAULT_MAX_CONFLICTS)
+    return limits
 
 
 @dataclass
@@ -129,7 +105,7 @@ def sequential_atpg(
     *,
     use_initial_state: bool = True,
     initial_state: Optional[Mapping[str, int]] = None,
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     skip_missing: bool = False,
     verify: bool = True,
     incremental: bool = True,
@@ -154,7 +130,7 @@ def sequential_atpg(
             cubes,
             use_initial_state=use_initial_state,
             initial_state=initial_state,
-            budget=budget,
+            limits=limits,
             skip_missing=skip_missing,
             verify=verify,
             incremental=incremental,
@@ -176,7 +152,7 @@ def _sequential_atpg(
     *,
     use_initial_state: bool = True,
     initial_state: Optional[Mapping[str, int]] = None,
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     skip_missing: bool = False,
     verify: bool = True,
     incremental: bool = True,
@@ -218,13 +194,13 @@ def _sequential_atpg(
                 assumptions.append(lit)
             else:
                 unroller.cnf.add_unit(lit)
-    budget = budget or AtpgBudget()
+    limits = atpg_limits(limits)
     if session is not None:
         result = session.solve(
-            assumptions, active=active, **budget.solve_kwargs()
+            assumptions, active=active, **limits.solve_kwargs()
         )
     else:
-        result = Solver(unroller.cnf).solve(**budget.solve_kwargs())
+        result = Solver(unroller.cnf).solve(**limits.solve_kwargs())
     if result.status is SatStatus.UNSAT:
         return AtpgResult(
             AtpgOutcome.UNSATISFIABLE,
@@ -263,7 +239,7 @@ def combinational_atpg(
     target: Mapping[str, int],
     constraints: Iterable[Mapping[str, int]] = (),
     *,
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     incremental: bool = True,
 ) -> AtpgResult:
     """One-time-frame ATPG with a free state: justify ``target`` plus all
@@ -280,7 +256,7 @@ def combinational_atpg(
             circuit,
             target,
             constraints,
-            budget=budget,
+            limits=limits,
             incremental=incremental,
         )
         phase.set(
@@ -297,10 +273,10 @@ def _combinational_atpg(
     target: Mapping[str, int],
     constraints: Iterable[Mapping[str, int]] = (),
     *,
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     incremental: bool = True,
 ) -> AtpgResult:
-    budget = budget or AtpgBudget()
+    limits = atpg_limits(limits)
     if incremental:
         session = solver_session(circuit, 1, use_initial_state=False)
         unroller = session.unroller
@@ -309,13 +285,13 @@ def _combinational_atpg(
             for cube in list(constraints) + [dict(target)]
             for name, value in cube.items()
         ]
-        result = session.solve(assumptions, **budget.solve_kwargs())
+        result = session.solve(assumptions, **limits.solve_kwargs())
     else:
         unroller = Unroller(circuit, 1, use_initial_state=False)
         for cube in list(constraints) + [dict(target)]:
             for name, value in cube.items():
                 unroller.cnf.add_unit(unroller.lit(name, 0, value))
-        result = Solver(unroller.cnf).solve(**budget.solve_kwargs())
+        result = Solver(unroller.cnf).solve(**limits.solve_kwargs())
     if result.status is SatStatus.UNSAT:
         return AtpgResult(
             AtpgOutcome.UNSATISFIABLE,

@@ -3,7 +3,7 @@
 Commands
 --------
 ``stats``      parse a netlist file and print design statistics
-``verify``     run RFN (or the plain COI model checker) on a property
+``verify``     run RFN (or any other registered engine) on a property
 ``coverage``   unreachable-coverage-state analysis (RFN or BFS method)
 ``simulate``   random simulation with a rendered waveform
 ``fuzz``       differential fuzzing of the verification engines
@@ -41,7 +41,6 @@ from repro.aig.convert import strash_circuit
 from repro.core import RfnConfig, UnreachabilityProperty, rfn_verify
 from repro.engine import (
     Limits,
-    Verdict,
     batch_exit,
     registry,
     result_exit,
@@ -52,9 +51,6 @@ from repro.core.coverage import (
     CoverageConfig,
     bfs_coverage_analysis,
 )
-from repro.mc import model_check_coi
-from repro.mc.bmc import BmcOutcome, bmc
-from repro.mc.reach import ReachLimits
 from repro.netlist import (
     NetlistError,
     NetlistParseError,
@@ -186,6 +182,7 @@ def cmd_verify(args) -> int:
         for flag, value in (
             ("--resume", args.resume),
             ("--checkpoint", args.checkpoint),
+            ("--no-incremental", args.no_incremental),
         ):
             if value:
                 raise ValueError(
@@ -221,62 +218,20 @@ def cmd_verify(args) -> int:
     prop = UnreachabilityProperty(args.name, target)
     log = print if args.verbose else None
 
-    if args.engine == "bmc":
-        result = bmc(
-            circuit,
-            prop,
-            max_depth=args.max_depth,
-            max_seconds=args.timeout,
-            unique_states=args.unique_states,
-            incremental=not args.no_incremental,
-        )
-        extra = (
-            f" (k-induction at depth {result.induction_depth})"
-            if result.induction_depth is not None
-            else ""
-        )
-        print(f"BMC: {result.outcome.value} at depth {result.depth}"
-              f"{extra} in {result.seconds:.2f}s")
-        trace = result.trace
-        status_code = verdict_to_exit(
-            {
-                BmcOutcome.FALSE: Verdict.FALSIFIED,
-                BmcOutcome.TRUE: Verdict.VERIFIED,
-            }.get(result.outcome, Verdict.UNKNOWN)
-        )
-    elif args.engine == "smc":
-        max_seconds = args.max_seconds
-        if args.timeout is not None:
-            max_seconds = (
-                args.timeout
-                if max_seconds is None
-                else min(max_seconds, args.timeout)
-            )
-        result = model_check_coi(
-            circuit,
-            prop,
-            limits=ReachLimits(
-                max_seconds=max_seconds, max_nodes=args.max_nodes
-            ),
-        )
-        print(f"plain SMC+COI: {result.outcome.value} "
-              f"({result.coi_registers} COI registers, "
-              f"{result.seconds:.2f}s)")
-        trace = result.trace
-        status_code = verdict_to_exit(
-            {
-                "false": Verdict.FALSIFIED,
-                "true": Verdict.VERIFIED,
-            }.get(result.outcome.value, Verdict.UNKNOWN)
-        )
-    elif args.engine == "portfolio":
-        from repro.parallel import STRATEGY_ORDER, race
-
-        budget = (
+    limits = Limits(
+        max_seconds=args.max_seconds,
+        max_depth=args.max_depth,
+        max_bdd_nodes=args.max_nodes,
+        budget=(
             Budget(max_seconds=args.timeout)
             if args.timeout is not None
             else None
-        )
+        ),
+    )
+
+    if args.engine == "portfolio":
+        from repro.parallel import STRATEGY_ORDER, race
+
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
         strategies = (
             tuple(s.strip() for s in args.strategies.split(",") if s.strip())
@@ -288,7 +243,7 @@ def cmd_verify(args) -> int:
             prop,
             strategies=strategies,
             jobs=max(1, args.jobs),
-            budget=budget,
+            budget=limits.budget,
             chaos=chaos,
             log=log,
         )
@@ -302,47 +257,22 @@ def cmd_verify(args) -> int:
             print(f"  DISAGREEMENT: {outcome.disagreement}")
         trace = outcome.trace
         status_code = verdict_to_exit(outcome.verdict)
-    elif args.engine in registry and args.engine != "rfn":
-        budget = (
-            Budget(max_seconds=args.timeout)
-            if args.timeout is not None
-            else None
-        )
-        engine = registry.get(args.engine)
-        result = engine.run(
-            circuit,
-            prop,
-            Limits(
-                max_seconds=args.max_seconds,
-                max_depth=args.max_depth,
-                budget=budget,
-            ),
-        )
-        witness = f" [{result.witness}]" if result.witness else ""
-        print(f"{engine.name}: {result.verdict} ({result.detail}) "
-              f"in {result.seconds:.2f}s{witness}")
-        trace = result.trace
-        status_code = verdict_to_exit(result.verdict)
-    else:
-        budget = (
-            Budget(max_seconds=args.timeout)
-            if args.timeout is not None
-            else None
-        )
+    elif args.engine == "rfn":
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
         checkpoint_path = args.checkpoint or args.resume
         config = RfnConfig(
-            max_seconds=args.max_seconds,
+            max_seconds=limits.max_seconds,
             max_iterations=args.max_iterations,
+            reach_limits=Limits(max_bdd_nodes=limits.max_bdd_nodes),
             log=log,
-            budget=budget,
+            budget=limits.budget,
             chaos=chaos,
             checkpoint_path=checkpoint_path,
             incremental=not args.no_incremental,
             parallel=args.jobs,
         )
         _PARTIAL.update(
-            budget=budget,
+            budget=limits.budget,
             checkpoint_path=checkpoint_path,
             start=time.monotonic(),
         )
@@ -375,6 +305,14 @@ def cmd_verify(args) -> int:
             print(f"checkpoint written to {rfn_result.checkpoint_path}")
         trace = rfn_result.trace
         status_code = verdict_to_exit(rfn_result.status)
+    else:
+        engine = registry.get(args.engine)
+        result = engine.run(circuit, prop, limits)
+        witness = f" [{result.witness}]" if result.witness else ""
+        print(f"{engine.name}: {result.verdict} ({result.detail}) "
+              f"in {result.seconds:.2f}s{witness}")
+        trace = result.trace
+        status_code = verdict_to_exit(result.verdict)
 
     if trace is not None:
         if args.vcd:
@@ -880,13 +818,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--engine",
         choices=(
-            "rfn", "smc", "bmc", "portfolio",
-            "bdd", "kinduction", "kernel", "atpg",
+            "rfn", "portfolio",
+            "atpg", "bdd", "bmc", "kernel", "kinduction",
         ),
         default="rfn",
-        help="rfn/smc/bmc/portfolio keep their bespoke reporting; any "
-        "other registered engine (see 'repro engines') runs through "
-        "the canonical repro.engine entrypoint",
+        help="any registered engine (see 'repro engines'), run through "
+        "the canonical repro.engine entrypoint under the limits the "
+        "flags set; rfn adds checkpoint/resume/chaos/--jobs, and "
+        "portfolio races several engines",
     )
     p_verify.add_argument(
         "--jobs", type=int, default=0,
@@ -900,7 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'bdd,kinduction' (default: bdd,rfn,kinduction,bmc)",
     )
     p_verify.add_argument("--max-seconds", type=float, default=None)
-    p_verify.add_argument("--max-nodes", type=int, default=2_000_000)
+    p_verify.add_argument("--max-nodes", type=int, default=2_000_000,
+                          help="BDD node cap of reachability")
     p_verify.add_argument(
         "--timeout", type=float, default=None,
         help="run budget in seconds, enforced cooperatively inside "
@@ -923,14 +863,13 @@ def build_parser() -> argparse.ArgumentParser:
         "'reach=timeout@0,hybrid=garbage' (testing aid)",
     )
     p_verify.add_argument("--max-depth", type=int, default=32,
-                          help="BMC unrolling bound")
+                          help="SAT engines' unrolling bound")
     p_verify.add_argument(
         "--no-incremental", action="store_true",
-        help="disable the pooled incremental SAT sessions (fresh solver "
-             "per query; escape hatch for debugging solver-state issues)",
+        help="rfn: disable the pooled incremental SAT sessions (fresh "
+             "solver per query; escape hatch for debugging solver-state "
+             "issues)",
     )
-    p_verify.add_argument("--unique-states", action="store_true",
-                          help="BMC: simple-path induction constraints")
     p_verify.add_argument("--vcd", help="write the error trace as VCD")
     p_verify.add_argument(
         "--trace", metavar="PATH",

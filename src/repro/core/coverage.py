@@ -43,7 +43,6 @@ from typing import (
     Tuple,
 )
 
-from repro.atpg.engine import AtpgBudget
 from repro.bdd import BDD, Function
 from repro.core.abstraction import Abstraction
 from repro.core.bfs_abstraction import bfs_abstract_model
@@ -53,9 +52,15 @@ from repro.core.property import UnreachabilityProperty
 from repro.core.refine import refine_from_trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, ReachResult, forward_reach
+from repro.mc.reach import (
+    DEFAULT_MAX_NODES,
+    ReachOutcome,
+    ReachResult,
+    forward_reach,
+)
 from repro.netlist.circuit import Circuit, NetlistError
 from repro.obs import tracer as obs
+from repro.runtime.budget import Limits
 from repro.sim.random_sim import RandomSimulator
 
 CoverageState = Tuple[int, ...]
@@ -65,12 +70,17 @@ CoverageState = Tuple[int, ...]
 class CoverageConfig:
     max_iterations: int = 32
     max_seconds: Optional[float] = None
-    reach_limits: ReachLimits = field(default_factory=ReachLimits)
-    atpg_budget: AtpgBudget = field(
-        default_factory=lambda: AtpgBudget(max_conflicts=100_000)
+    #: fixpoint caps
+    reach_limits: Limits = field(
+        default_factory=lambda: Limits(max_bdd_nodes=DEFAULT_MAX_NODES)
     )
-    refine_budget: AtpgBudget = field(
-        default_factory=lambda: AtpgBudget(max_conflicts=50_000)
+    #: hybrid-engine and trace-concretization ATPG caps
+    atpg_limits: Limits = field(
+        default_factory=lambda: Limits(max_conflicts=100_000)
+    )
+    #: refinement-probe caps
+    refine_limits: Limits = field(
+        default_factory=lambda: Limits(max_conflicts=50_000)
     )
     # Bit-parallel random simulation on the original design before the
     # CEGAR loop: every coverage state a concrete run visits is marked
@@ -259,7 +269,7 @@ class CoverageAnalyzer:
             )
             try:
                 hybrid = HybridTraceEngine(
-                    model, encoding, images, atpg_budget=config.atpg_budget
+                    model, encoding, images, atpg_limits=config.atpg_limits
                 )
                 abstract_trace = hybrid.build_trace(synthetic, target)
             except HybridEngineError as error:
@@ -281,7 +291,7 @@ class CoverageAnalyzer:
                     self.circuit,
                     prop,
                     [abstract_trace],
-                    budget=config.atpg_budget,
+                    limits=config.atpg_limits,
                 )
                 if guided.found:
                     result.traces_found += 1
@@ -294,7 +304,7 @@ class CoverageAnalyzer:
             refinement = refine_from_trace(
                 self.abstraction,
                 abstract_trace,
-                budget=config.refine_budget,
+                limits=config.refine_limits,
             )
             added = self.abstraction.refine(refinement.registers)
             if added == 0:
@@ -366,7 +376,7 @@ def bfs_coverage_analysis(
     circuit: Circuit,
     coverage_signals: Sequence[str],
     k: int = 60,
-    limits: Optional[ReachLimits] = None,
+    limits: Optional[Limits] = None,
 ) -> BfsCoverageResult:
     """The BFS baseline [8]: one fixpoint on the k-closest-register model,
     projected onto the coverage signals."""

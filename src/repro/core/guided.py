@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, AtpgResult, sequential_atpg
+from repro.atpg.engine import AtpgOutcome, atpg_limits, sequential_atpg
 from repro.core.property import UnreachabilityProperty
 from repro.trace import Trace
 from repro.kernel.scache import coi_circuit
 from repro.netlist.circuit import Circuit
+from repro.runtime.budget import Limits
 from repro.sim.logic3 import ONE, X
 from repro.sim.simulator import Simulator
 
@@ -89,7 +90,7 @@ def guided_concrete_search(
     original: Circuit,
     prop: UnreachabilityProperty,
     traces: Sequence[Trace],
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     use_guidance: bool = True,
     extra_depth: int = 0,
     max_gate_frames: Optional[int] = None,
@@ -108,7 +109,7 @@ def guided_concrete_search(
     enormous SAT instance -- their bugs are still found once the abstract
     trace becomes concrete enough to replay.
     """
-    budget = budget or AtpgBudget()
+    limits = atpg_limits(limits)
     # The COI circuit is memoized per design, and its pooled session is
     # the one refinement probes query, so the searches of one CEGAR run
     # share one unrolling and every clause learned on it.
@@ -116,8 +117,8 @@ def guided_concrete_search(
     total_conflicts = 0
     result = None
     for trace in traces:
-        if budget.runtime is not None:
-            budget.runtime.checkpoint(engine="guided")
+        if limits.budget is not None:
+            limits.budget.checkpoint(engine="guided")
         # Cheap path first: direct replay of concrete traces.
         concrete = replay_trace(original, prop, trace)
         if concrete is not None:
@@ -145,7 +146,7 @@ def guided_concrete_search(
             reduced,
             depth,
             cubes,
-            budget=budget,
+            limits=limits,
             skip_missing=True,
             incremental=incremental,
         )

@@ -23,17 +23,17 @@ so the constructed cube sequence is always satisfiable on N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, combinational_atpg
+from repro.atpg.engine import AtpgOutcome, combinational_atpg
 from repro.trace import Trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
 from repro.mc.reach import ReachResult
 from repro.mincut import MinCutResult, min_cut_design
 from repro.netlist.circuit import Circuit
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, Limits
 
 
 class HybridEngineError(Exception):
@@ -58,7 +58,9 @@ class HybridTraceEngine:
     model: Circuit
     encoding: SymbolicEncoding
     images: ImageComputer
-    atpg_budget: AtpgBudget = field(default_factory=AtpgBudget)
+    #: combinational-ATPG caps (None: the ATPG default); not charged
+    #: to ``budget``
+    atpg_limits: Optional[Limits] = None
     max_cube_tries: int = 256
     #: optional runtime budget polled per pre-image step and cube try
     budget: Optional[Budget] = None
@@ -165,7 +167,7 @@ class HybridTraceEngine:
         a min-cut cube (Section 2.2)."""
         self.stats.atpg_calls += 1
         result = combinational_atpg(
-            self.model, cube, budget=self.atpg_budget,
+            self.model, cube, limits=self.atpg_limits,
             incremental=self.incremental,
         )
         self.stats.atpg_conflicts += result.conflicts

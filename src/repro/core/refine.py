@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
+from repro.atpg.engine import AtpgOutcome, sequential_atpg
 from repro.core.abstraction import Abstraction
 from repro.kernel.bitsim import BitParallelSimulator, pack_value, planes_value
 from repro.kernel.perf import PERF
@@ -38,6 +38,7 @@ from repro.kernel.scache import coi_circuit
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
 from repro.netlist.ops import subcircuit_signals
+from repro.runtime.budget import Limits
 from repro.sim.logic3 import X
 
 
@@ -139,7 +140,7 @@ def crucial_register_candidates(
 def trace_satisfiable_on(
     model: Circuit,
     trace: Trace,
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     incremental: bool = True,
     active: Optional[Iterable[str]] = None,
 ) -> AtpgOutcome:
@@ -167,7 +168,7 @@ def trace_satisfiable_on(
         model,
         trace.length,
         cubes,
-        budget=budget,
+        limits=limits,
         skip_missing=True,
         incremental=incremental,
         active=active,
@@ -179,7 +180,7 @@ def minimize_candidates(
     abstraction: Abstraction,
     trace: Trace,
     candidates: Sequence[str],
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     incremental: bool = True,
 ) -> RefinementResult:
     """Phase 2: the greedy add-until-unsatisfiable / try-remove loop.
@@ -202,15 +203,15 @@ def minimize_candidates(
         stats.atpg_calls += 1
         if shared:
             return trace_satisfiable_on(
-                coi, trace, budget, incremental,
+                coi, trace, limits, incremental,
                 active=abstraction.kept_registers.union(registers),
             )
         model = abstraction.with_registers(registers)
-        return trace_satisfiable_on(model, trace, budget, incremental)
+        return trace_satisfiable_on(model, trace, limits, incremental)
 
     added: List[str] = []
     unsatisfiable = False
-    runtime = budget.runtime if budget is not None else None
+    runtime = limits.budget if limits is not None else None
     for register in candidates:
         if runtime is not None:
             runtime.checkpoint(engine="refine")
@@ -242,7 +243,7 @@ def minimize_candidates(
 def refine_from_trace(
     abstraction: Abstraction,
     trace: Trace,
-    budget: Optional[AtpgBudget] = None,
+    limits: Optional[Limits] = None,
     minimize: bool = True,
     fallback_count: int = 8,
     incremental: bool = True,
@@ -252,7 +253,7 @@ def refine_from_trace(
         abstraction,
         trace,
         fallback_count=fallback_count,
-        runtime=budget.runtime if budget is not None else None,
+        runtime=limits.budget if limits is not None else None,
     )
     if not phase1.registers:
         return phase1
@@ -260,7 +261,7 @@ def refine_from_trace(
         phase1.stats.selected = len(phase1.registers)
         return phase1
     result = minimize_candidates(
-        abstraction, trace, phase1.registers, budget=budget,
+        abstraction, trace, phase1.registers, limits=limits,
         incremental=incremental,
     )
     result.stats.conflicts_found = phase1.stats.conflicts_found

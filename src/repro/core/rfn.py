@@ -37,7 +37,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.atpg.engine import AtpgBudget
+from repro.atpg.engine import DEFAULT_MAX_CONFLICTS
 from repro.engine.verdict import Verdict
 from repro.core.abstraction import Abstraction
 from repro.core.guided import GuidedSearchResult, guided_concrete_search
@@ -48,11 +48,11 @@ from repro.trace import Trace
 from repro.mc.bmc import BmcOutcome, BmcResult, bmc
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
+from repro.mc.reach import DEFAULT_MAX_NODES, ReachOutcome, forward_reach
 from repro.netlist.circuit import Circuit
 from repro.obs import tracer as obs
 from repro.runtime.abort import ABORT_BY_RESOURCE, DepthOut, EngineAbort
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, Limits
 from repro.runtime.chaos import ChaosMonkey
 from repro.runtime.checkpoint import RfnCheckpoint
 from repro.runtime.supervisor import CONTAINED, AbortInfo, Supervisor
@@ -70,10 +70,18 @@ class RfnConfig:
 
     max_iterations: int = 64
     max_seconds: Optional[float] = None
-    reach_limits: ReachLimits = field(default_factory=ReachLimits)
-    atpg_budget: AtpgBudget = field(default_factory=AtpgBudget)
-    refine_budget: AtpgBudget = field(
-        default_factory=lambda: AtpgBudget(max_conflicts=50_000)
+    #: Step 2 reachability caps
+    reach_limits: Limits = field(
+        default_factory=lambda: Limits(max_bdd_nodes=DEFAULT_MAX_NODES)
+    )
+    #: hybrid-engine and Step 3 ATPG caps (and the BMC fallbacks'
+    #: conflict cap)
+    atpg_limits: Limits = field(
+        default_factory=lambda: Limits(max_conflicts=DEFAULT_MAX_CONFLICTS)
+    )
+    #: Step 4 refinement-probe caps
+    refine_limits: Limits = field(
+        default_factory=lambda: Limits(max_conflicts=50_000)
     )
     enable_guided_search: bool = True
     enable_minimization: bool = True
@@ -469,27 +477,9 @@ class RFN:
                         return finish(Verdict.VERIFIED)
 
                 def reach_step(attempt: int):
-                    limits = config.reach_limits
-                    if attempt > 0:
-                        scale = config.retry_scale ** attempt
-                        limits = replace(
-                            limits,
-                            max_iterations=(
-                                None
-                                if limits.max_iterations is None
-                                else int(limits.max_iterations * scale)
-                            ),
-                            max_nodes=(
-                                None
-                                if limits.max_nodes is None
-                                else int(limits.max_nodes * scale)
-                            ),
-                            max_seconds=(
-                                None
-                                if limits.max_seconds is None
-                                else limits.max_seconds * scale
-                            ),
-                        )
+                    limits = config.reach_limits.scaled(
+                        config.retry_scale ** attempt
+                    )
                     if budget is not None and limits.budget is None:
                         limits = replace(limits, budget=budget)
                     reach = forward_reach(
@@ -518,7 +508,7 @@ class RFN:
                         model,
                         self.prop,
                         max_depth=config.fallback_bmc_depth,
-                        max_conflicts=config.atpg_budget.max_conflicts,
+                        max_conflicts=config.atpg_limits.max_conflicts,
                         induction=True,
                         unique_states=True,
                         budget=budget,
@@ -593,21 +583,11 @@ class RFN:
 
                     def hybrid_step(attempt: int):
                         scale = config.retry_scale ** attempt
-                        atpg_budget = config.atpg_budget
-                        if attempt > 0:
-                            atpg_budget = replace(
-                                atpg_budget,
-                                max_conflicts=(
-                                    None
-                                    if atpg_budget.max_conflicts is None
-                                    else int(atpg_budget.max_conflicts * scale)
-                                ),
-                            )
                         hybrid = HybridTraceEngine(
                             model,
                             encoding,
                             images,
-                            atpg_budget=atpg_budget,
+                            atpg_limits=config.atpg_limits.scaled(scale),
                             max_cube_tries=int(256 * scale),
                             budget=budget,
                             incremental=config.incremental,
@@ -627,7 +607,7 @@ class RFN:
                             model,
                             self.prop,
                             max_depth=reach.hit_ring,
-                            max_conflicts=config.atpg_budget.max_conflicts,
+                            max_conflicts=config.atpg_limits.max_conflicts,
                             induction=False,
                             budget=budget,
                             incremental=config.incremental,
@@ -689,7 +669,7 @@ class RFN:
                         self.circuit,
                         self.prop,
                         [abstract_trace],
-                        budget=replace(config.atpg_budget, runtime=budget),
+                        limits=replace(config.atpg_limits, budget=budget),
                         use_guidance=config.guidance,
                         extra_depth=config.guided_extra_depth,
                         max_gate_frames=config.guided_max_gate_frames,
@@ -726,23 +706,12 @@ class RFN:
 
             # Step 4: refine.
             def refine_step(attempt: int):
-                refine_budget = replace(
-                    config.refine_budget, runtime=budget
-                )
-                if attempt > 0:
-                    scale = config.retry_scale ** attempt
-                    refine_budget = replace(
-                        refine_budget,
-                        max_conflicts=(
-                            None
-                            if refine_budget.max_conflicts is None
-                            else int(refine_budget.max_conflicts * scale)
-                        ),
-                    )
                 return refine_from_trace(
                     self.abstraction,
                     abstract_trace,
-                    budget=refine_budget,
+                    limits=replace(
+                        config.refine_limits, budget=budget
+                    ).scaled(config.retry_scale ** attempt),
                     minimize=config.enable_minimization,
                     fallback_count=config.fallback_candidates,
                     incremental=config.incremental,

@@ -49,7 +49,6 @@ from repro.engine.result import (
     WITNESS_KINDS,
     WITNESS_KINDUCTION,
     WITNESS_TRACE,
-    Limits,
     VerifyResult,
 )
 from repro.engine.verdict import (
@@ -59,6 +58,7 @@ from repro.engine.verdict import (
     join_all,
     meet_all,
 )
+from repro.runtime.budget import Limits
 
 __all__ = [
     "BOUNDED",

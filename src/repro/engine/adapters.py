@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
+from repro.atpg.engine import AtpgOutcome, sequential_atpg
+from repro.bdd import BDD
 from repro.core.property import UnreachabilityProperty
 from repro.engine.base import (
     BOUNDED,
@@ -43,7 +44,6 @@ from repro.engine.result import (
     WITNESS_INVARIANT,
     WITNESS_KINDUCTION,
     WITNESS_TRACE,
-    Limits,
     VerifyResult,
 )
 from repro.engine.verdict import Verdict
@@ -51,9 +51,10 @@ from repro.mc.bmc import BmcOutcome, bmc
 from repro.mc.checker import _extract_error_trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
+from repro.mc.reach import ReachOutcome, forward_reach, reach_node_cap
 from repro.netlist.circuit import Circuit
 from repro.netlist.ops import coi_registers, extract_subcircuit
+from repro.runtime.budget import Limits
 from repro.trace import Trace
 
 
@@ -186,18 +187,19 @@ class BddReachEngine(Engine):
         reduced = extract_subcircuit(
             circuit, coi, prop.signals(), name=f"{circuit.name}.coi"
         )
-        encoding = SymbolicEncoding(reduced)
-        encoding.bdd.auto_reorder = True
+        bdd = BDD()
+        bdd.auto_reorder = True
+        # Bound the encoding build itself, not just the fixpoint (a
+        # BDDNodeLimit here is a contained NodesOut).
+        bdd.node_limit = reach_node_cap(limits) * 4
+        encoding = SymbolicEncoding(reduced, bdd=bdd)
         images = ImageComputer(encoding)
         target = encoding.state_cube(dict(prop.target))
-        reach_limits = ReachLimits(
-            max_seconds=limits.max_seconds, budget=limits.budget
-        )
-        if limits.max_bdd_nodes is not None:
-            reach_limits.max_nodes = limits.max_bdd_nodes
+        bdd.node_limit = None
         reach = forward_reach(
             images, encoding.initial_states(), target=target,
-            limits=reach_limits,
+            limits=limits,
+            step_hook=lambda _i, _r: bdd.maybe_sift(),
         )
         if reach.outcome is ReachOutcome.FIXPOINT:
             return VerifyResult(
@@ -488,18 +490,13 @@ class AtpgEngine(Engine):
             if limits.max_depth is not None
             else _sat_depth(circuit)
         )
-        budget = AtpgBudget(
-            max_conflicts=limits.max_conflicts,
-            max_seconds=limits.max_seconds,
-            runtime=limits.budget,
-        )
         target = dict(prop.target)
         for depth in range(max_depth + 1):
             result = sequential_atpg(
                 circuit,
                 depth + 1,
                 {depth: target},
-                budget=budget,
+                limits=limits,
             )
             if result.outcome is AtpgOutcome.TRACE_FOUND:
                 return VerifyResult(

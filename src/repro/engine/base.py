@@ -30,10 +30,11 @@ import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.property import UnreachabilityProperty
-from repro.engine.result import Limits, VerifyResult
+from repro.engine.result import VerifyResult
 from repro.engine.verdict import Verdict
 from repro.kernel.perf import PERF
 from repro.netlist.circuit import Circuit
+from repro.runtime.budget import Limits
 from repro.runtime.supervisor import CONTAINED, AbortInfo
 
 #: Capability tags.

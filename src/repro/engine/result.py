@@ -1,12 +1,6 @@
-"""`Limits` and `VerifyResult`: the one request/response pair every
-engine speaks.
-
-``Limits`` is the resource envelope an engine may spend: the countable
-caps mirror :class:`~repro.runtime.budget.Budget` fields (and a live
-``Budget`` rides along for engines that meter cooperatively), plus the
-engine-specific knobs -- unrolling depth for the SAT engines, a state
-cap for the explicit kernel.  Engines read the caps they understand and
-ignore the rest.
+"""`VerifyResult`: the one answer every engine gives to a
+``run(circuit, prop, limits)`` request (``Limits`` lives in
+:mod:`repro.runtime.budget`, next to the ``Budget`` it carries).
 
 ``VerifyResult`` is the complete, self-describing answer: the canonical
 :class:`~repro.engine.verdict.Verdict`, a witness kind naming *why* the
@@ -25,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.engine.verdict import Verdict
-from repro.runtime.budget import Budget
 from repro.runtime.supervisor import AbortInfo
 from repro.trace import Trace
 
@@ -43,37 +36,6 @@ WITNESS_KINDS = (
     WITNESS_EXHAUSTIVE,
     WITNESS_ABSTRACT_PROOF,
 )
-
-
-@dataclass
-class Limits:
-    """Resource envelope for one engine run.
-
-    All caps are optional; ``None`` means unlimited.  A live ``Budget``
-    (never serialized -- it holds a deadline and a parent link) carries
-    the cooperative metering hooks; the scalar caps exist so a forked
-    worker can rebuild an equivalent budget on its side of the pipe.
-    """
-
-    max_seconds: Optional[float] = None
-    max_depth: Optional[int] = None
-    max_conflicts: Optional[int] = None
-    max_bdd_nodes: Optional[int] = None
-    max_memory_mb: Optional[float] = None
-    max_states: Optional[int] = None
-    budget: Optional[Budget] = None
-
-    def unlimited(self) -> bool:
-        """True when no cap of any kind is set."""
-        return (
-            self.max_seconds is None
-            and self.max_depth is None
-            and self.max_conflicts is None
-            and self.max_bdd_nodes is None
-            and self.max_memory_mb is None
-            and self.max_states is None
-            and self.budget is None
-        )
 
 
 @dataclass

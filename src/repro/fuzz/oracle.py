@@ -217,9 +217,8 @@ def _run_bmc(
 def _run_bdd(
     circuit: Circuit, prop: UnreachabilityProperty, config: OracleConfig
 ) -> EngineVerdict:
-    """Forward reachability on the COI reduction.  Run directly (not via
-    ``model_check_coi``) so a FIXPOINT exposes its reached-set BDD as a
-    certifiable inductive invariant."""
+    """Forward reachability on the COI reduction; a FIXPOINT exposes its
+    reached-set BDD as a certifiable inductive invariant."""
     result = BddReachEngine().run(
         circuit,
         prop,

@@ -32,7 +32,8 @@ from typing import List, Optional, Sequence
 from repro.bdd import Function
 from repro.bdd.manager import BDDNodeLimit
 from repro.mc.encode import SymbolicEncoding, next_var_name
-from repro.mc.reach import ReachLimits
+from repro.mc.reach import reach_node_cap
+from repro.runtime.budget import Limits
 
 
 class ApproxOutcome(enum.Enum):
@@ -149,20 +150,19 @@ class ApproximateReach:
     def run(
         self,
         init: Function,
-        limits: Optional[ReachLimits] = None,
+        limits: Optional[Limits] = None,
         max_passes: int = 64,
     ) -> ApproxResult:
         """Iterate all blocks to a simultaneous fixpoint."""
-        limits = limits or ReachLimits()
+        limits = limits if limits is not None else Limits()
         start = time.monotonic()
         reached = [self._project(init, block) for block in self.blocks]
         passes = 0
         saved_limit = self.bdd.node_limit
-        if limits.max_nodes is not None:
-            self.bdd.node_limit = max(
-                limits.max_nodes * 4,
-                len(self.bdd._level) + limits.max_nodes,
-            )
+        max_nodes = reach_node_cap(limits)
+        self.bdd.node_limit = max(
+            max_nodes * 4, len(self.bdd._level) + max_nodes
+        )
         try:
             changed = True
             while changed and passes < max_passes:
@@ -238,7 +238,7 @@ def approximate_check(
     target: Function,
     block_size: int = 8,
     overlap: int = 2,
-    limits: Optional[ReachLimits] = None,
+    limits: Optional[Limits] = None,
 ) -> ApproxResult:
     """Convenience wrapper: partition, traverse, classify."""
     approx = ApproximateReach(

@@ -1,104 +1,18 @@
-"""Plain BDD-based symbolic model checking with COI reduction.
+"""Error-trace extraction from a forward reachability run that hit its
+target: the standard BDD backwards walk through the onion rings.
 
-This is the baseline RFN is compared against in Table 1: reduce the design
-to the cone of influence of the property signals, build the symbolic
-transition relation for *all* COI registers, and run the forward fixpoint.
-On designs whose COI holds thousands of registers this predictably
-exhausts its resource limits -- "our symbolic model checker failed to
-verify any of the above five properties" (Section 3) -- which is the whole
-motivation for abstraction refinement.
+The plain COI model checker that uses it -- the Table 1 baseline RFN is
+compared against -- is the ``bdd`` engine
+(:class:`repro.engine.adapters.BddReachEngine`).
 """
 
 from __future__ import annotations
 
-import enum
-import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.bdd import BDD
-from repro.bdd.manager import BDDNodeLimit
-from repro.core.property import UnreachabilityProperty
 from repro.trace import Trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
-from repro.netlist.circuit import Circuit
-from repro.netlist.ops import coi_registers, extract_subcircuit
-
-
-class CheckOutcome(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    RESOURCE_OUT = "resource_out"
-
-
-@dataclass
-class CheckResult:
-    outcome: CheckOutcome
-    seconds: float
-    iterations: int
-    coi_registers: int
-    trace: Optional[Trace] = None
-
-    @property
-    def verified(self) -> bool:
-        return self.outcome is CheckOutcome.TRUE
-
-
-def model_check_coi(
-    circuit: Circuit,
-    prop: UnreachabilityProperty,
-    limits: Optional[ReachLimits] = None,
-    produce_trace: bool = True,
-) -> CheckResult:
-    """Check an unreachability property on the COI-reduced design."""
-    start = time.monotonic()
-    prop.validate_against(circuit)
-    coi = coi_registers(circuit, prop.signals())
-    reduced = extract_subcircuit(
-        circuit, coi, prop.signals(), name=f"{circuit.name}.coi"
-    )
-    manager = BDD()
-    manager.auto_reorder = True
-    if limits is not None and limits.max_nodes is not None:
-        # Bound the encoding build itself, not just the fixpoint.
-        manager.node_limit = limits.max_nodes * 4
-    try:
-        encoding = SymbolicEncoding(reduced, bdd=manager)
-        images = ImageComputer(encoding)
-        target = encoding.state_cube(dict(prop.target))
-    except BDDNodeLimit:
-        return CheckResult(
-            CheckOutcome.RESOURCE_OUT,
-            time.monotonic() - start,
-            0,
-            len(coi),
-        )
-    result = forward_reach(
-        images,
-        encoding.initial_states(),
-        target=target,
-        limits=limits,
-        step_hook=lambda _i, _r: encoding.bdd.maybe_sift(),
-    )
-    elapsed = time.monotonic() - start
-    if result.outcome is ReachOutcome.FIXPOINT:
-        return CheckResult(CheckOutcome.TRUE, elapsed, result.iterations, len(coi))
-    if result.outcome is ReachOutcome.RESOURCE_OUT:
-        return CheckResult(
-            CheckOutcome.RESOURCE_OUT, elapsed, result.iterations, len(coi)
-        )
-    trace = None
-    if produce_trace:
-        trace = _extract_error_trace(encoding, images, result, target)
-    return CheckResult(
-        CheckOutcome.FALSE,
-        time.monotonic() - start,
-        result.iterations,
-        len(coi),
-        trace=trace,
-    )
 
 
 def _extract_error_trace(

@@ -7,11 +7,12 @@ True on this model) or when a target state shows up in some ``S_k``.  The
 rings ``S_1..S_k`` are kept because the hybrid trace engine walks them
 backwards (Section 2.2).
 
-Resource limits (iterations, BDD nodes, wall-clock) end the run with the
+Resource limits (:class:`~repro.runtime.budget.Limits`: image steps,
+BDD nodes -- 2M unless set -- and wall-clock) end the run with the
 ``RESOURCE_OUT`` outcome -- the honest answer a Python BDD engine must
 give on designs the paper's C engines also found hard.  When a runtime
 :class:`~repro.runtime.budget.Budget` is attached via
-``ReachLimits.budget``, its deadline/memory watermark is polled inside
+``Limits.budget``, its deadline/memory watermark is polled inside
 image computations (through the manager's ``checkpoint_hook``) and the
 abort is folded into the same ``RESOURCE_OUT`` outcome with the
 exhausted resource recorded in ``ReachResult.abort_resource``.
@@ -29,7 +30,7 @@ from repro.kernel.perf import PERF
 from repro.mc.images import ImageComputer
 from repro.obs import tracer as obs
 from repro.runtime.abort import EngineAbort
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Limits
 
 
 class ReachOutcome(enum.Enum):
@@ -38,13 +39,16 @@ class ReachOutcome(enum.Enum):
     RESOURCE_OUT = "resource_out"
 
 
-@dataclass
-class ReachLimits:
-    max_iterations: Optional[int] = None
-    max_nodes: Optional[int] = 2_000_000
-    max_seconds: Optional[float] = None
-    #: optional runtime budget polled inside image computations
-    budget: Optional[Budget] = None
+#: BDD node cap of a reachability run whose limits leave it unset.
+DEFAULT_MAX_NODES = 2_000_000
+
+
+def reach_node_cap(limits: Limits) -> int:
+    """The node cap reachability reads from ``limits``: its
+    ``max_bdd_nodes``, or :data:`DEFAULT_MAX_NODES` when unset."""
+    if limits.max_bdd_nodes is None:
+        return DEFAULT_MAX_NODES
+    return limits.max_bdd_nodes
 
 
 @dataclass
@@ -67,7 +71,7 @@ def forward_reach(
     images: ImageComputer,
     init: Function,
     target: Optional[Function] = None,
-    limits: Optional[ReachLimits] = None,
+    limits: Optional[Limits] = None,
     keep_rings: bool = True,
     step_hook: Optional[Callable[[int, Function], None]] = None,
 ) -> ReachResult:
@@ -77,7 +81,7 @@ def forward_reach(
     ``step_hook(iteration, reached)`` runs after every image step --
     RFN uses it to trigger dynamic variable reordering at safe points.
     """
-    limits = limits or ReachLimits()
+    limits = limits if limits is not None else Limits()
     budget = limits.budget
     bdd = images.bdd
     start = time.monotonic()
@@ -91,17 +95,10 @@ def forward_reach(
     # into a clean RESOURCE_OUT (the soft per-step check only runs between
     # steps).  Allocation is append-only, so leave generous headroom.
     saved_node_limit = bdd.node_limit
-    max_nodes = limits.max_nodes
+    max_nodes = reach_node_cap(limits)
     if budget is not None and budget.max_bdd_nodes is not None:
-        max_nodes = (
-            budget.max_bdd_nodes
-            if max_nodes is None
-            else min(max_nodes, budget.max_bdd_nodes)
-        )
-    if max_nodes is not None:
-        bdd.node_limit = max(
-            max_nodes * 4, len(bdd._level) + max_nodes
-        )
+        max_nodes = min(max_nodes, budget.max_bdd_nodes)
+    bdd.node_limit = max(max_nodes * 4, len(bdd._level) + max_nodes)
     # The checkpoint hook lets the budget's deadline fire *inside* one
     # enormous image computation, not just between fixpoint steps.
     saved_hook = bdd.checkpoint_hook
@@ -146,7 +143,7 @@ def forward_reach(
             time.monotonic() - start > limits.max_seconds
         ):
             return make_result(ReachOutcome.RESOURCE_OUT, resource="time")
-        if max_nodes is not None and bdd.total_nodes() > max_nodes:
+        if bdd.total_nodes() > max_nodes:
             bdd.collect_garbage()
             if bdd.total_nodes() > max_nodes:
                 return make_result(

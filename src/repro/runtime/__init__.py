@@ -1,6 +1,7 @@
 """repro.runtime -- the resilience layer.
 
-Unified budgets with cooperative deadlines (:mod:`~repro.runtime.budget`),
+Unified budgets with cooperative deadlines and the one ``Limits``
+envelope every engine call takes (:mod:`~repro.runtime.budget`),
 a structured abort taxonomy (:mod:`~repro.runtime.abort`), the portfolio
 supervisor with retry/fallback (:mod:`~repro.runtime.supervisor`),
 CEGAR checkpoint/resume (:mod:`~repro.runtime.checkpoint`), and the
@@ -21,7 +22,7 @@ from repro.runtime.abort import (
     NodesOut,
     Timeout,
 )
-from repro.runtime.budget import Budget, process_rss_mb
+from repro.runtime.budget import Budget, Limits, process_rss_mb
 from repro.runtime.chaos import (
     ALL_FAULTS,
     FAULTS,
@@ -55,6 +56,7 @@ __all__ = [
     "FAULTS",
     "Garbage",
     "InjectedFault",
+    "Limits",
     "MemoryOut",
     "NodesOut",
     "PROCESS_FAULTS",

@@ -10,11 +10,13 @@ could help.  This module is the single vocabulary: one base class with a
 ``injected`` flag so the chaos harness (:mod:`repro.runtime.chaos`) can
 raise the very same exceptions the real engines do.
 
-Design rule: engine-*local* budgets (``AtpgBudget`` conflict caps,
-``ReachLimits``) keep their historical return-code semantics; the
-*runtime* :class:`~repro.runtime.budget.Budget` is exception-based and
-raises these aborts from its cooperative ``checkpoint()``/``charge()``
-calls.  The portfolio supervisor is the only layer that catches them.
+Design rule: the scalar caps of :class:`~repro.runtime.budget.Limits`
+(an ATPG conflict cap, a reachability node cap) keep their engines'
+historical return-code semantics; the *runtime*
+:class:`~repro.runtime.budget.Budget` a ``Limits`` carries is
+exception-based and raises these aborts from its cooperative
+``checkpoint()``/``charge()`` calls.  The portfolio supervisor is the
+only layer that catches them.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.atpg import (
-    AtpgBudget,
     AtpgOutcome,
     Unroller,
     combinational_atpg,
@@ -11,6 +10,7 @@ from repro.atpg import (
 )
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq_const, w_inc
+from repro.runtime.budget import Limits
 from repro.sat import Solver
 from repro.sim import Simulator
 
@@ -163,7 +163,7 @@ class TestSequentialAtpg:
             c,
             40,
             {39: {"hit": 1}},
-            budget=AtpgBudget(max_conflicts=0, max_decisions=1),
+            limits=Limits(max_conflicts=0),
         )
         assert result.outcome in (AtpgOutcome.ABORTED, AtpgOutcome.UNSATISFIABLE)
 

@@ -85,9 +85,10 @@ class TestVerify:
             assert "$enddefinitions" in handle.read()
 
     def test_smc_engine(self, true_netlist, capsys):
+        # The plain symbolic model checker on the COI is the bdd engine.
         path, wd = true_netlist
-        assert main(["verify", path, "--watchdog", wd, "--engine", "smc"]) == 0
-        assert "SMC" in capsys.readouterr().out
+        assert main(["verify", path, "--watchdog", wd, "--engine", "bdd"]) == 0
+        assert "bdd: verified" in capsys.readouterr().out
 
     def test_verbose_logs(self, true_netlist, capsys):
         path, wd = true_netlist
@@ -123,6 +124,16 @@ class TestResilienceCli:
         code = main(["verify", path, "--watchdog", wd,
                      "--engine", "bmc", "--resume", "nope.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("engine", ["bmc", "bdd", "portfolio"])
+    def test_no_incremental_only_for_rfn(self, true_netlist, capsys,
+                                         engine):
+        path, wd = true_netlist
+        code = main(["verify", path, "--watchdog", wd,
+                     "--engine", engine, "--no-incremental"])
+        assert code == 3
+        assert ("--no-incremental only applies to the rfn engine"
+                in capsys.readouterr().err)
 
     def test_checkpoint_resume_flow(self, buggy_netlist, tmp_path,
                                     capsys):

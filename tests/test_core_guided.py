@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.atpg.engine import AtpgBudget
 from repro.core.guided import (
     guided_concrete_search,
     replay_trace,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome
+from repro.atpg.engine import AtpgOutcome
 from repro.core.abstraction import Abstraction
 from repro.core.property import watchdog_property
 from repro.core.refine import (
@@ -155,7 +155,7 @@ class TestPhase2Minimization:
         monkeypatch.setattr(
             refine_mod,
             "trace_satisfiable_on",
-            lambda model, trace, budget=None, incremental=True,
+            lambda model, trace, limits=None, incremental=True,
             active=None: AtpgOutcome.ABORTED,
         )
         result = refine_mod.minimize_candidates(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import RFN, RfnConfig
 from repro.engine import Verdict
-from repro.mc.reach import ReachLimits
+from repro.runtime.budget import Limits
 from repro.sim import Simulator
 
 from tests.conftest import buggy_counter, chain_design, padded, toggle_design
@@ -83,7 +83,7 @@ class TestResourceLimits:
         # retries with scaled limits and then falls back to k-induction
         # BMC on the abstract model, so the correct verdict survives.
         c, prop = buggy_counter()
-        config = RfnConfig(reach_limits=ReachLimits(max_iterations=1))
+        config = RfnConfig(reach_limits=Limits(max_iterations=1))
         result = RFN(c, prop, config).run()
         assert result.status is Verdict.FALSIFIED
         assert result.aborts  # the reach aborts were contained, not lost
@@ -93,7 +93,7 @@ class TestResourceLimits:
         # run degrades to RESOURCE_OUT naming the exhausted resource.
         c, prop = buggy_counter()
         config = RfnConfig(
-            reach_limits=ReachLimits(max_iterations=1),
+            reach_limits=Limits(max_iterations=1),
             max_retries=0,
             fallback_bmc_depth=0,
         )

@@ -125,6 +125,27 @@ def test_bounded_engines_respect_depth_limit():
         assert result.verdict is Verdict.UNKNOWN, f"{name}: {result.detail}"
 
 
+def test_bdd_engine_reorders_between_image_steps(monkeypatch):
+    # A 10-bit LFSR's reachability table grows past the manager's
+    # reorder trigger, so dynamic reordering must get its chance.
+    from repro.bdd import BDD
+    from repro.designs.counters import lfsr
+
+    calls = []
+    real = BDD.maybe_sift
+
+    def counting(self, *args, **kwargs):
+        calls.append(real(self, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(BDD, "maybe_sift", counting)
+    circuit, prop = lfsr(10)
+    result = registry.get("bdd").run(circuit, prop)
+    assert result.verdict is Verdict.VERIFIED
+    assert len(calls) >= 1
+    assert any(calls), "the table never grew past the reorder trigger"
+
+
 def test_contained_crash_degrades_to_error_result():
     bomb = FunctionEngine(
         "bomb", lambda c, p, limits: (_ for _ in ()).throw(

@@ -12,15 +12,13 @@ These are the shape claims of the paper's evaluation, checked end to end:
 import pytest
 
 from repro.core import RFN, RfnConfig
-from repro.engine import Verdict
 from repro.core.coverage import (
     CoverageAnalyzer,
     CoverageConfig,
     bfs_coverage_analysis,
 )
 from repro.designs import table1_workloads, table2_workloads
-from repro.mc import CheckOutcome, model_check_coi
-from repro.mc.reach import ReachLimits
+from repro.engine import Limits, Verdict, registry
 from repro.netlist.ops import coi_stats
 from repro.sim import Simulator
 
@@ -75,12 +73,14 @@ class TestTable1Shape:
 
     def test_plain_checker_fails_on_processor(self, table1):
         workload = next(w for w in table1 if w.name == "mutex")
-        result = model_check_coi(
+        result = registry.get("bdd").run(
             workload.circuit,
             workload.prop,
-            limits=ReachLimits(max_nodes=60_000, max_seconds=20),
+            Limits(max_bdd_nodes=60_000, max_seconds=20),
         )
-        assert result.outcome is CheckOutcome.RESOURCE_OUT
+        # The node guard already trips while encoding the COI.
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.abort.resource == "nodes"
 
 
 class TestTable2Shape:

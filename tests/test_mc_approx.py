@@ -12,7 +12,7 @@ from repro.mc.approx import (
     approximate_check,
     overlapping_blocks,
 )
-from repro.mc.reach import ReachLimits
+from repro.runtime.budget import Limits
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq_const, w_inc
 
@@ -126,7 +126,7 @@ class TestApproximateReach:
         approx = ApproximateReach(encoding, block_size=2, overlap=1)
         result = approx.run(
             encoding.initial_states(),
-            limits=ReachLimits(max_seconds=0.0),
+            limits=Limits(max_seconds=0.0),
         )
         assert result.outcome is ApproxOutcome.RESOURCE_OUT
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.mc import ImageComputer, ReachOutcome, SymbolicEncoding, forward_reach
-from repro.mc.reach import ReachLimits
+from repro.runtime.budget import Limits
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq_const, w_inc
 from repro.sim import Simulator
@@ -159,7 +159,7 @@ class TestForwardReach:
         result = forward_reach(
             images,
             enc.initial_states(),
-            limits=ReachLimits(max_iterations=3),
+            limits=Limits(max_iterations=3),
         )
         assert result.outcome is ReachOutcome.RESOURCE_OUT
         assert result.iterations == 3
@@ -171,7 +171,7 @@ class TestForwardReach:
         result = forward_reach(
             images,
             enc.initial_states(),
-            limits=ReachLimits(max_nodes=1),
+            limits=Limits(max_bdd_nodes=1),
         )
         assert result.outcome is ReachOutcome.RESOURCE_OUT
 
@@ -196,7 +196,7 @@ class TestForwardReach:
         enc.bdd.collect_garbage()
         live = enc.bdd.total_nodes()
         result = forward_reach(
-            images, init, limits=ReachLimits(max_nodes=live)
+            images, init, limits=Limits(max_bdd_nodes=live)
         )
         assert result.outcome is ReachOutcome.RESOURCE_OUT
         assert result.abort_resource == "nodes"

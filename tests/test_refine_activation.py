@@ -25,7 +25,6 @@ import pytest
 import repro.core.refine as refine_mod
 from repro.atpg.encode import Unroller
 from repro.atpg.engine import (
-    AtpgBudget,
     AtpgOutcome,
     _check_trace,
     sequential_atpg,
@@ -45,7 +44,7 @@ from repro.kernel.scache import clear_caches, coi_circuit
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.netlist import Circuit
 from repro.runtime.abort import EngineAbort
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, Limits
 from repro.trace import Trace
 
 SEEDS = list(range(25))
@@ -79,8 +78,8 @@ class ProbeAudit:
         real_probe = refine_mod.trace_satisfiable_on
         real_minimize = refine_mod.minimize_candidates
 
-        def probe(model, trace, budget=None, incremental=True, active=None):
-            answer = real_probe(model, trace, budget, incremental, active)
+        def probe(model, trace, limits=None, incremental=True, active=None):
+            answer = real_probe(model, trace, limits, incremental, active)
             if not incremental:
                 return answer  # the reference path itself
             assert active is not None, "probe left the shared session"
@@ -316,11 +315,11 @@ def error_flag_step():
     return captured[0]
 
 
-def shared_probe(step, registers, budget=None):
+def shared_probe(step, registers, limits=None):
     abstraction, trace, _ = step
     coi = coi_circuit(abstraction.original, abstraction.prop.signals())
     return trace_satisfiable_on(
-        coi, trace, budget,
+        coi, trace, limits,
         active=abstraction.kept_registers.union(registers),
     )
 
@@ -350,7 +349,7 @@ def test_step_has_both_polarities(error_flag_step):
 def test_conflict_budget_abort_leaves_session_reusable(error_flag_step):
     clear_caches()
     assert shared_probe(
-        error_flag_step, [], AtpgBudget(max_conflicts=0)
+        error_flag_step, [], Limits(max_conflicts=0)
     ) is AtpgOutcome.ABORTED
     assert_answers_as_fresh(error_flag_step)
 
@@ -359,7 +358,7 @@ def test_deadline_abort_leaves_session_reusable(error_flag_step):
     clear_caches()
     expired = Budget(max_seconds=0.0)
     with pytest.raises(EngineAbort):
-        shared_probe(error_flag_step, [], AtpgBudget(runtime=expired))
+        shared_probe(error_flag_step, [], Limits(budget=expired))
     assert_answers_as_fresh(error_flag_step)
 
 
@@ -367,7 +366,7 @@ def test_aborted_minimisation_keeps_every_candidate(error_flag_step):
     abstraction, trace, candidates = error_flag_step
     clear_caches()
     result = minimize_candidates(
-        abstraction, trace, candidates, budget=AtpgBudget(max_conflicts=0)
+        abstraction, trace, candidates, limits=Limits(max_conflicts=0)
     )
     assert result.registers == candidates
     # Unaborted, the same minimisation keeps fewer.

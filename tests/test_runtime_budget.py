@@ -7,23 +7,27 @@ kernel -- ending with the full ``rfn_verify`` RESOURCE_OUT contract.
 """
 
 import time
+from dataclasses import fields
 
 import pytest
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
+from repro.atpg.engine import AtpgOutcome, atpg_limits, sequential_atpg
 from repro.bdd.manager import BDDError, BDDNodeLimit
 from repro.core import RfnConfig, rfn_verify
-from repro.engine import Verdict
+from repro.core.coverage import CoverageConfig
+from repro.core.hybrid import HybridTraceEngine
+from repro.engine import Verdict, registry
 from repro.kernel.bitsim import BitParallelSimulator, pack_bits
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
+from repro.mc.reach import ReachOutcome, forward_reach, reach_node_cap
 from repro.runtime import (
     ABORT_BY_RESOURCE,
     Budget,
     ConflictsOut,
     DecisionsOut,
     EngineAbort,
+    Limits,
     MemoryOut,
     NodesOut,
     Timeout,
@@ -206,7 +210,7 @@ class TestReachBudget:
             images,
             encoding.initial_states(),
             target=target,
-            limits=ReachLimits(budget=Budget(max_seconds=0.0)),
+            limits=Limits(budget=Budget(max_seconds=0.0)),
         )
         assert result.outcome is ReachOutcome.RESOURCE_OUT
         assert result.abort_resource == "time"
@@ -217,7 +221,7 @@ class TestReachBudget:
             images,
             encoding.initial_states(),
             target=target,
-            limits=ReachLimits(budget=Budget(max_bdd_nodes=1)),
+            limits=Limits(budget=Budget(max_bdd_nodes=1)),
         )
         assert result.outcome is ReachOutcome.RESOURCE_OUT
         assert result.abort_resource == "nodes"
@@ -228,35 +232,41 @@ class TestReachBudget:
             images,
             encoding.initial_states(),
             target=target,
-            limits=ReachLimits(budget=Budget(max_seconds=30.0)),
+            limits=Limits(budget=Budget(max_seconds=30.0)),
         )
         assert encoding.bdd.checkpoint_hook is None
 
 
-class TestAtpgBudget:
+class TestLimitsSolveKwargs:
     def test_solve_kwargs_deadline_from_max_seconds(self):
-        budget = AtpgBudget(max_seconds=5.0)
-        kwargs = budget.solve_kwargs()
+        kwargs = Limits(max_seconds=5.0).solve_kwargs()
         assert kwargs["deadline"] == pytest.approx(
             time.monotonic() + 5.0, abs=1.0
         )
 
     def test_solve_kwargs_takes_earlier_deadline(self):
-        soon = time.monotonic() + 1.0
-        budget = AtpgBudget(max_seconds=100.0, deadline=soon)
-        assert budget.solve_kwargs()["deadline"] == soon
+        # The solver intersects the max_seconds deadline with the
+        # attached budget's: whichever is earlier ends the search.
+        past = Budget(max_seconds=0.0)
+        with pytest.raises(Timeout):
+            Solver(pigeonhole(7, 6)).solve(
+                **Limits(max_seconds=100.0, budget=past).solve_kwargs()
+            )
+        roomy = Budget(max_seconds=100.0)
+        result = Solver(pigeonhole(7, 6)).solve(
+            **Limits(max_seconds=0.0, budget=roomy).solve_kwargs()
+        )
+        assert result.status is SatStatus.UNKNOWN
 
     def test_max_seconds_zero_gives_unknown(self):
         # The deadline from solve_kwargs() reaches the solver's restart
         # loop: a search-heavy instance stops as UNKNOWN immediately.
-        kwargs = AtpgBudget(max_seconds=0.0).solve_kwargs()
+        kwargs = Limits(max_seconds=0.0).solve_kwargs()
         result = Solver(pigeonhole(7, 6)).solve(**kwargs)
         assert result.status is SatStatus.UNKNOWN
 
     def test_runtime_budget_raises_through_solve_kwargs(self):
-        kwargs = AtpgBudget(
-            runtime=Budget(max_seconds=0.0)
-        ).solve_kwargs()
+        kwargs = Limits(budget=Budget(max_seconds=0.0)).solve_kwargs()
         with pytest.raises(Timeout):
             Solver(pigeonhole(7, 6)).solve(**kwargs)
 
@@ -269,12 +279,213 @@ class TestAtpgBudget:
             circuit,
             11,
             {10: dict(prop.target)},
-            budget=AtpgBudget(
-                max_seconds=30.0, runtime=Budget(max_seconds=30.0)
-            ),
+            limits=Limits(max_seconds=30.0, budget=Budget(max_seconds=30.0)),
             skip_missing=True,
         )
         assert result.outcome is AtpgOutcome.TRACE_FOUND
+
+
+class TestLimitsScaled:
+    CAPS = Limits(
+        max_seconds=2.5,
+        max_depth=7,
+        max_iterations=3,
+        max_conflicts=50_000,
+        max_bdd_nodes=2_000_000,
+        max_memory_mb=512.0,
+        max_states=1000,
+    )
+
+    @staticmethod
+    def reach_block(limits, scale):
+        """Step 2's former retry scaling (iterations, nodes, seconds)."""
+        return (
+            None if limits.max_iterations is None
+            else int(limits.max_iterations * scale),
+            None if limits.max_bdd_nodes is None
+            else int(limits.max_bdd_nodes * scale),
+            None if limits.max_seconds is None
+            else limits.max_seconds * scale,
+        )
+
+    @staticmethod
+    def conflict_block(limits, scale):
+        """The hybrid and refinement steps' former retry scaling."""
+        return (
+            None if limits.max_conflicts is None
+            else int(limits.max_conflicts * scale)
+        )
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.0, 4.0, 2.0 ** 3])
+    def test_matches_the_retry_blocks_it_replaced(self, factor):
+        grown = self.CAPS.scaled(factor)
+        assert (
+            grown.max_iterations, grown.max_bdd_nodes, grown.max_seconds
+        ) == self.reach_block(self.CAPS, factor)
+        assert grown.max_conflicts == self.conflict_block(self.CAPS, factor)
+
+    def test_integer_caps_stay_int(self):
+        grown = self.CAPS.scaled(1.5)
+        for name in ("max_iterations", "max_conflicts", "max_bdd_nodes"):
+            assert type(getattr(grown, name)) is int, name
+
+    def test_unset_caps_stay_unset(self):
+        grown = Limits().scaled(2.0)
+        assert grown == Limits()
+        assert grown.unlimited()
+
+    def test_caps_no_retry_block_scaled_pass_through(self):
+        budget = Budget(max_seconds=30.0)
+        grown = Limits(
+            max_depth=7, max_states=1000, max_memory_mb=256.0, budget=budget
+        ).scaled(4.0)
+        assert grown.max_depth == 7
+        assert grown.max_states == 1000
+        assert grown.max_memory_mb == 256.0
+        assert grown.budget is budget
+
+    def test_returns_a_copy(self):
+        limits = Limits(max_conflicts=10)
+        assert limits.scaled(2.0) is not limits
+        assert limits.max_conflicts == 10
+
+
+def _reach_caps(limits):
+    """The caps forward reachability runs under for ``limits``."""
+    limits = limits if limits is not None else Limits()
+    return Limits(
+        max_iterations=limits.max_iterations,
+        max_seconds=limits.max_seconds,
+        max_bdd_nodes=reach_node_cap(limits),
+        budget=limits.budget,
+    )
+
+
+def _spied_limits(monkeypatch, module_name, function, run):
+    """Run ``run`` with ``module.function`` wrapped; return the limits
+    of its first call."""
+    import importlib
+
+    module = importlib.import_module(module_name)
+    real = getattr(module, function)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["limits"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, spy)
+    run()
+    return seen[0]
+
+
+def _registry_run(name):
+    circuit, prop = toggle_design()
+    return lambda: registry.get(name).run(
+        circuit, prop, Limits(), contain=False
+    )
+
+
+#: Every place that used to build a default ATPG budget or reachability
+#: limits: (site, the limits it hands its engine, how that engine
+#: resolves them, the effective caps).
+SITES = [
+    ("forward_reach", lambda mp: None, _reach_caps,
+     Limits(max_bdd_nodes=2_000_000)),
+    ("approximate_check", lambda mp: None, _reach_caps,
+     Limits(max_bdd_nodes=2_000_000)),
+    ("RfnConfig.reach_limits", lambda mp: RfnConfig().reach_limits,
+     _reach_caps, Limits(max_bdd_nodes=2_000_000)),
+    ("CoverageConfig.reach_limits",
+     lambda mp: CoverageConfig().reach_limits,
+     _reach_caps, Limits(max_bdd_nodes=2_000_000)),
+    ("bdd engine",
+     lambda mp: _spied_limits(
+         mp, "repro.engine.adapters", "forward_reach", _registry_run("bdd")
+     ),
+     _reach_caps, Limits(max_bdd_nodes=2_000_000)),
+    ("sequential_atpg", lambda mp: None, atpg_limits,
+     Limits(max_conflicts=200_000)),
+    ("combinational_atpg", lambda mp: None, atpg_limits,
+     Limits(max_conflicts=200_000)),
+    ("guided_concrete_search", lambda mp: None, atpg_limits,
+     Limits(max_conflicts=200_000)),
+    ("HybridTraceEngine.atpg_limits",
+     lambda mp: next(
+         f.default for f in fields(HybridTraceEngine)
+         if f.name == "atpg_limits"
+     ),
+     atpg_limits, Limits(max_conflicts=200_000)),
+    ("RfnConfig.atpg_limits", lambda mp: RfnConfig().atpg_limits,
+     atpg_limits, Limits(max_conflicts=200_000)),
+    ("RfnConfig.refine_limits", lambda mp: RfnConfig().refine_limits,
+     atpg_limits, Limits(max_conflicts=50_000)),
+    ("CoverageConfig.atpg_limits",
+     lambda mp: CoverageConfig().atpg_limits,
+     atpg_limits, Limits(max_conflicts=100_000)),
+    ("CoverageConfig.refine_limits",
+     lambda mp: CoverageConfig().refine_limits,
+     atpg_limits, Limits(max_conflicts=50_000)),
+    ("atpg engine",
+     lambda mp: _spied_limits(
+         mp, "repro.engine.adapters", "sequential_atpg",
+         _registry_run("atpg"),
+     ),
+     atpg_limits, Limits()),
+]
+
+
+@pytest.mark.parametrize(
+    "site, given, resolve, caps", SITES, ids=[site[0] for site in SITES]
+)
+def test_default_caps_per_site(monkeypatch, site, given, resolve, caps):
+    effective = resolve(given(monkeypatch))
+    assert effective == caps
+    kwargs = effective.solve_kwargs()
+    assert kwargs.pop("deadline") is None
+    assert kwargs == {
+        "max_conflicts": caps.max_conflicts,
+        "max_propagations": 50_000_000,
+        "budget": None,
+    }
+
+
+#: The caps each retried RFN step gets on its first retry with the
+#: default config (``retry_scale`` 2.0).
+RETRY_SITES = [
+    ("reach", lambda c: c.reach_limits, Limits(max_bdd_nodes=4_000_000)),
+    ("hybrid", lambda c: c.atpg_limits, Limits(max_conflicts=400_000)),
+    ("refine", lambda c: c.refine_limits, Limits(max_conflicts=100_000)),
+]
+
+
+@pytest.mark.parametrize(
+    "site, given, caps", RETRY_SITES, ids=[site[0] for site in RETRY_SITES]
+)
+def test_default_caps_double_on_first_retry(site, given, caps):
+    config = RfnConfig()
+    assert given(config).scaled(config.retry_scale ** 1) == caps
+
+
+def test_retried_reach_step_gets_the_doubled_node_cap(monkeypatch):
+    import repro.core.rfn as rfn_module
+
+    real = rfn_module.forward_reach
+    node_caps = []
+
+    def out_of_nodes_once(*args, **kwargs):
+        node_caps.append(reach_node_cap(kwargs["limits"]))
+        reach = real(*args, **kwargs)
+        if len(node_caps) == 1:
+            reach.outcome = ReachOutcome.RESOURCE_OUT
+            reach.abort_resource = "nodes"
+        return reach
+
+    monkeypatch.setattr(rfn_module, "forward_reach", out_of_nodes_once)
+    circuit, prop = buggy_counter()
+    result = rfn_verify(circuit, prop, RfnConfig())
+    assert result.status is Verdict.FALSIFIED
+    assert node_caps[:2] == [2_000_000, 4_000_000]
 
 
 class TestKernelCheckpoint:
