@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RFN, RfnConfig, RfnStatus
+from repro.core import RFN, RfnConfig
+from repro.engine import Verdict
+from repro.runtime import Budget
 from repro.designs import table1_workloads
 from reporting import emit_table
 
@@ -26,10 +28,10 @@ def run(workload, reuse):
     config = RfnConfig(
         reuse_variable_order=reuse,
         auto_reorder=True,
-        max_seconds=600,
+        budget=Budget(max_seconds=600),
     )
     result = RFN(workload.circuit, workload.prop, config).run()
-    assert result.status is RfnStatus.VERIFIED
+    assert result.status is Verdict.VERIFIED
     nodes = sum(it.bdd_nodes for it in result.iterations)
     return result.seconds, nodes, len(result.iterations)
 

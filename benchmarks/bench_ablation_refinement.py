@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RFN, RfnConfig, RfnStatus
+from repro.core import RFN, RfnConfig
+from repro.engine import Verdict
+from repro.runtime import Budget
 from repro.designs import table1_workloads
 from reporting import emit_table
 
@@ -30,18 +32,22 @@ def test_refinement_ablation(benchmark, workload):
         with_min = RFN(
             workload.circuit,
             workload.prop,
-            RfnConfig(enable_minimization=True, max_seconds=600),
+            RfnConfig(
+                enable_minimization=True, budget=Budget(max_seconds=600)
+            ),
         ).run()
         without = RFN(
             workload.circuit,
             workload.prop,
-            RfnConfig(enable_minimization=False, max_seconds=600),
+            RfnConfig(
+                enable_minimization=False, budget=Budget(max_seconds=600)
+            ),
         ).run()
         return with_min, without
 
     with_min, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    assert with_min.status is RfnStatus.VERIFIED
-    assert without.status is RfnStatus.VERIFIED
+    assert with_min.status is Verdict.VERIFIED
+    assert without.status is Verdict.VERIFIED
     assert (
         with_min.abstract_model_registers <= without.abstract_model_registers
     )

@@ -31,6 +31,7 @@ from repro.designs.counters import saturating_counter
 from repro.kernel.perf import PERF
 from repro.kernel.scache import clear_caches
 from repro.mc.bmc import bmc
+from repro.runtime import Limits
 
 from reporting import emit_json, emit_table
 
@@ -55,8 +56,7 @@ def _timed_run(circuit, prop, depth: int, incremental: bool):
     result = bmc(
         circuit,
         prop,
-        max_depth=depth,
-        max_conflicts=None,
+        Limits(max_depth=depth),
         induction=False,
         incremental=incremental,
     )

@@ -24,6 +24,7 @@ from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
 from repro.engine import Limits, Verdict, registry
 from repro.netlist.ops import coi_stats
+from repro.runtime import Budget
 from reporting import emit_table
 
 WORKLOADS = table1_workloads()
@@ -39,7 +40,7 @@ def test_table1_rfn(benchmark, workload):
         return RFN(
             workload.circuit,
             workload.prop,
-            RfnConfig(max_seconds=600),
+            RfnConfig(budget=Budget(max_seconds=600)),
         ).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -70,7 +71,7 @@ def test_table1_plain_smc_baseline(benchmark, workload):
         return registry.get("bdd").run(
             workload.circuit,
             workload.prop,
-            Limits(max_bdd_nodes=60_000, max_seconds=30),
+            Limits(max_bdd_nodes=60_000, budget=Budget(max_seconds=30)),
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

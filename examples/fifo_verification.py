@@ -18,6 +18,7 @@ from repro.core import RFN, RfnConfig
 from repro.designs.fifo import FifoParams, build_fifo
 from repro.engine import Limits, registry
 from repro.netlist.ops import coi_stats
+from repro.runtime import Budget
 
 
 def main():
@@ -50,7 +51,9 @@ def main():
                   f"images, +{record.refinement_added} registers")
 
         baseline = registry.get("bdd").run(
-            circuit, prop, Limits(max_bdd_nodes=400_000, max_seconds=60)
+            circuit,
+            prop,
+            Limits(max_bdd_nodes=400_000, budget=Budget(max_seconds=60)),
         )
         print(f"plain SMC + COI (bdd engine): {baseline.verdict} "
               f"({baseline.detail}) in {baseline.seconds:.2f}s over "

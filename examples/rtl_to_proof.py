@@ -24,6 +24,7 @@ from repro.engine import registry
 from repro.mc.bmc import bmc
 from repro.netlist import parse_verilog
 from repro.netlist.ops import coi_stats
+from repro.runtime import Limits
 
 RTL = """
 // A traffic-light controller: green -> yellow -> red -> green, with a
@@ -73,7 +74,7 @@ def main():
           f"({coi_regs} COI registers)")
 
     # 3c. SAT-based k-induction.
-    kind = bmc(optimized, prop, max_depth=16, unique_states=True)
+    kind = bmc(optimized, prop, Limits(max_depth=16), unique_states=True)
     print(f"k-induction:  {kind.outcome.value} "
           f"(depth {kind.induction_depth})")
 

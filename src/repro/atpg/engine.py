@@ -55,9 +55,9 @@ def atpg_limits(limits: Optional[Limits] = None) -> Limits:
     """The envelope an ATPG call runs under: ``limits`` as given (an
     unset cap is unlimited), or the default conflict cap when the caller
     gives none.  Every call also carries the module-wide propagation cap
-    (:data:`repro.runtime.budget.MAX_PROPAGATIONS`); exceeding a cap or
-    ``max_seconds`` answers ``ABORTED``, while an attached ``budget``
-    charges the shared run budget and *raises* a structured
+    (:data:`repro.runtime.budget.MAX_PROPAGATIONS`); exceeding a cap
+    answers ``ABORTED``, while an attached ``budget`` -- the only wall
+    clock -- charges the shared run budget and *raises* a structured
     ``EngineAbort`` -- the supervisor's exception-based path."""
     if limits is None:
         return Limits(max_conflicts=DEFAULT_MAX_CONFLICTS)

@@ -219,7 +219,6 @@ def cmd_verify(args) -> int:
     log = print if args.verbose else None
 
     limits = Limits(
-        max_seconds=args.max_seconds,
         max_depth=args.max_depth,
         max_bdd_nodes=args.max_nodes,
         budget=(
@@ -261,7 +260,6 @@ def cmd_verify(args) -> int:
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
         checkpoint_path = args.checkpoint or args.resume
         config = RfnConfig(
-            max_seconds=limits.max_seconds,
             max_iterations=args.max_iterations,
             reach_limits=Limits(max_bdd_nodes=limits.max_bdd_nodes),
             log=log,
@@ -790,8 +788,18 @@ def cmd_status(args) -> int:
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown choice, a
+    removed flag) exit 3, the exit ladder's usage code; argparse's own
+    code 2 means "inconclusive" here.  ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="RFN: formal property verification by abstraction "
         "refinement (DAC 2001 reproduction)",
@@ -838,7 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="portfolio: comma-separated strategy subset, e.g. "
         "'bdd,kinduction' (default: bdd,rfn,kinduction,bmc)",
     )
-    p_verify.add_argument("--max-seconds", type=float, default=None)
     p_verify.add_argument("--max-nodes", type=int, default=2_000_000,
                           help="BDD node cap of reachability")
     p_verify.add_argument(

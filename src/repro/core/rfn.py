@@ -69,7 +69,6 @@ class RfnConfig:
     """Tuning knobs for one RFN run."""
 
     max_iterations: int = 64
-    max_seconds: Optional[float] = None
     #: Step 2 reachability caps
     reach_limits: Limits = field(
         default_factory=lambda: Limits(max_bdd_nodes=DEFAULT_MAX_NODES)
@@ -379,10 +378,6 @@ class RFN:
             )
 
         for index in range(self._completed + 1, config.max_iterations + 1):
-            if config.max_seconds is not None and (
-                time.monotonic() - start > config.max_seconds
-            ):
-                return finish(Verdict.UNKNOWN, detail="time limit")
             if budget is not None:
                 try:
                     budget.checkpoint(engine="rfn")
@@ -464,7 +459,11 @@ class RFN:
                         target,
                         block_size=config.approx_block_size,
                         overlap=config.approx_overlap,
-                        limits=config.reach_limits,
+                        limits=(
+                            config.reach_limits
+                            if budget is None
+                            else replace(config.reach_limits, budget=budget)
+                        ),
                     )
                     if approx.outcome is ApproxOutcome.PROVED:
                         record.reach_outcome = "approx_proved"
@@ -507,11 +506,13 @@ class RFN:
                     result = bmc(
                         model,
                         self.prop,
-                        max_depth=config.fallback_bmc_depth,
-                        max_conflicts=config.atpg_limits.max_conflicts,
+                        Limits(
+                            max_depth=config.fallback_bmc_depth,
+                            max_conflicts=config.atpg_limits.max_conflicts,
+                            budget=budget,
+                        ),
                         induction=True,
                         unique_states=True,
-                        budget=budget,
                         incremental=config.incremental,
                     )
                     if result.outcome is BmcOutcome.UNKNOWN:
@@ -606,10 +607,12 @@ class RFN:
                         result = bmc(
                             model,
                             self.prop,
-                            max_depth=reach.hit_ring,
-                            max_conflicts=config.atpg_limits.max_conflicts,
+                            Limits(
+                                max_depth=reach.hit_ring,
+                                max_conflicts=config.atpg_limits.max_conflicts,
+                                budget=budget,
+                            ),
                             induction=False,
-                            budget=budget,
                             incremental=config.incremental,
                         )
                         if result.outcome is not BmcOutcome.FALSE:

@@ -23,6 +23,7 @@ dialect.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.atpg.engine import AtpgOutcome, sequential_atpg
@@ -58,10 +59,12 @@ from repro.runtime.budget import Limits
 from repro.trace import Trace
 
 
-def _sat_depth(circuit: Circuit) -> int:
-    """Default unrolling cap: with simple-path constraints k-induction
-    is complete at the recurrence diameter, itself bounded by the state
-    count."""
+def _sat_depth(circuit: Circuit, limits: Limits) -> int:
+    """The unrolling cap: ``limits.max_depth``, or by default the
+    recurrence diameter, where k-induction with simple-path constraints
+    is complete, bounded by the state count."""
+    if limits.max_depth is not None:
+        return limits.max_depth
     if circuit.num_registers >= 7:
         return 130
     return (1 << circuit.num_registers) + 2
@@ -80,19 +83,11 @@ class BmcEngine(Engine):
         prop: UnreachabilityProperty,
         limits: Limits,
     ) -> VerifyResult:
-        depth = (
-            limits.max_depth
-            if limits.max_depth is not None
-            else _sat_depth(circuit)
-        )
         result = bmc(
             circuit,
             prop,
-            max_depth=depth,
-            max_conflicts=limits.max_conflicts,
-            max_seconds=limits.max_seconds,
+            replace(limits, max_depth=_sat_depth(circuit, limits)),
             induction=False,
-            budget=limits.budget,
         )
         if result.outcome is BmcOutcome.FALSE:
             return VerifyResult(
@@ -127,20 +122,12 @@ class KInductionEngine(Engine):
         prop: UnreachabilityProperty,
         limits: Limits,
     ) -> VerifyResult:
-        depth = (
-            limits.max_depth
-            if limits.max_depth is not None
-            else _sat_depth(circuit)
-        )
         result = bmc(
             circuit,
             prop,
-            max_depth=depth,
-            max_conflicts=limits.max_conflicts,
-            max_seconds=limits.max_seconds,
+            replace(limits, max_depth=_sat_depth(circuit, limits)),
             induction=True,
             unique_states=True,
-            budget=limits.budget,
         )
         if result.outcome is BmcOutcome.TRUE:
             return VerifyResult(
@@ -224,7 +211,7 @@ class BddReachEngine(Engine):
         return VerifyResult(
             engine=self.name,
             verdict=Verdict.UNKNOWN,
-            detail="reachability resource limit",
+            detail=f"reachability resource limit ({reach.abort_resource})",
             seconds=reach.seconds,
         )
 
@@ -247,13 +234,7 @@ class RfnEngine(Engine):
         # break somewhere.
         from repro.core.rfn import RFN, RfnConfig
 
-        result = RFN(
-            circuit,
-            prop,
-            RfnConfig(
-                max_seconds=limits.max_seconds, budget=limits.budget
-            ),
-        ).run()
+        result = RFN(circuit, prop, RfnConfig(budget=limits.budget)).run()
         return rfn_verify_result(result)
 
 
@@ -485,13 +466,13 @@ class AtpgEngine(Engine):
         limits: Limits,
     ) -> VerifyResult:
         prop.validate_against(circuit)
-        max_depth = (
-            limits.max_depth
-            if limits.max_depth is not None
-            else _sat_depth(circuit)
-        )
+        max_depth = _sat_depth(circuit, limits)
         target = dict(prop.target)
         for depth in range(max_depth + 1):
+            # Polled once per depth, as bmc does: an UNSAT found by
+            # propagation alone never charges the budget.
+            if limits.budget is not None:
+                limits.budget.checkpoint(engine=self.name)
             result = sequential_atpg(
                 circuit,
                 depth + 1,

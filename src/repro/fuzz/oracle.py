@@ -54,9 +54,23 @@ from repro.engine.adapters import (
     RfnEngine,
 )
 from repro.netlist.circuit import Circuit
-from repro.runtime.abort import EngineAbort
+from repro.runtime.abort import EngineAbort, Timeout
 from repro.runtime.budget import Budget
 from repro.trace import Trace
+
+
+#: Wall-clock cap of the ``bdd`` and ``rfn`` runs on one instance, as a
+#: child budget of the instance budget: running out of it leaves that
+#: engine UNKNOWN and the instance running.
+ENGINE_SECONDS = 20.0
+
+
+def _engine_budget(name: str, config: "OracleConfig") -> Budget:
+    """The :data:`ENGINE_SECONDS` budget of one engine run, charged to
+    the instance budget (when there is one)."""
+    if config.budget is None:
+        return Budget(max_seconds=ENGINE_SECONDS, name=f"oracle/{name}")
+    return config.budget.sub(name, seconds=ENGINE_SECONDS)
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,6 @@ class OracleConfig:
     bmc_max_depth: int = 34
     bmc_max_conflicts: Optional[int] = 200_000
     bdd_max_nodes: Optional[int] = 500_000
-    bdd_max_seconds: Optional[float] = 20.0
-    rfn_max_seconds: Optional[float] = 20.0
     # Kernel explicit-state search: caps on the exhaustive enumeration.
     kernel_max_states: int = 1 << 13
     kernel_max_inputs: int = 6
@@ -224,8 +236,7 @@ def _run_bdd(
         prop,
         Limits(
             max_bdd_nodes=config.bdd_max_nodes,
-            max_seconds=config.bdd_max_seconds,
-            budget=config.budget,
+            budget=_engine_budget("bdd", config),
         ),
         contain=False,
     )
@@ -238,7 +249,7 @@ def _run_rfn(
     result = RfnEngine().run(
         circuit,
         prop,
-        Limits(max_seconds=config.rfn_max_seconds, budget=config.budget),
+        Limits(budget=_engine_budget("rfn", config)),
         contain=False,
     )
     return EngineVerdict.from_result("rfn", result)
@@ -346,12 +357,20 @@ def run_oracle(
         try:
             verdict = runner(circuit, prop, config)
         except (EngineAbort, MemoryError) as error:
-            # A budget stop is a resource limit, not an engine bug.
-            report.resource_out = True
+            # A budget stop is a resource limit, not an engine bug.  Only
+            # the instance budget ends the instance: running out of an
+            # engine's own ENGINE_SECONDS stops just that engine.
+            own_cap = isinstance(error, Timeout) and not (
+                budget is not None and budget.expired()
+            )
+            if not own_cap:
+                report.resource_out = True
             verdict = EngineVerdict(
                 name,
                 Verdict.UNKNOWN,
-                detail=f"instance budget: {error}",
+                detail=(
+                    f"{'engine' if own_cap else 'instance'} budget: {error}"
+                ),
                 seconds=time.monotonic() - engine_start,
             )
         except Exception as error:  # an engine crash is itself a finding

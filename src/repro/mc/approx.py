@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.bdd import Function
-from repro.bdd.manager import BDDNodeLimit
 from repro.mc.encode import SymbolicEncoding, next_var_name
 from repro.mc.reach import reach_node_cap
+from repro.runtime.abort import EngineAbort
 from repro.runtime.budget import Limits
 
 
@@ -153,11 +153,16 @@ class ApproximateReach:
         limits: Optional[Limits] = None,
         max_passes: int = 64,
     ) -> ApproxResult:
-        """Iterate all blocks to a simultaneous fixpoint."""
+        """Iterate all blocks to a simultaneous fixpoint.
+
+        Exceeding the node cap, or the ``limits.budget`` polled between
+        block images, ends the run with ``RESOURCE_OUT``."""
         limits = limits if limits is not None else Limits()
+        budget = limits.budget
         start = time.monotonic()
         reached = [self._project(init, block) for block in self.blocks]
         passes = 0
+        outcome = ApproxOutcome.UNDECIDED  # refined by check_target below
         saved_limit = self.bdd.node_limit
         max_nodes = reach_node_cap(limits)
         self.bdd.node_limit = max(
@@ -166,19 +171,11 @@ class ApproximateReach:
         try:
             changed = True
             while changed and passes < max_passes:
-                if limits.max_seconds is not None and (
-                    time.monotonic() - start > limits.max_seconds
-                ):
-                    return ApproxResult(
-                        ApproxOutcome.RESOURCE_OUT,
-                        self.blocks,
-                        reached,
-                        passes,
-                        time.monotonic() - start,
-                    )
                 passes += 1
                 changed = False
                 for index, block in enumerate(self.blocks):
+                    if budget is not None:
+                        budget.checkpoint(engine="approx")
                     # Constrain by the neighbouring blocks only: the full
                     # product could be as big as exact reachability, and
                     # dropping constraints is always sound (it merely
@@ -192,22 +189,14 @@ class ApproximateReach:
                     if grown != reached[index]:
                         reached[index] = grown
                         changed = True
-        except BDDNodeLimit:
-            return ApproxResult(
-                ApproxOutcome.RESOURCE_OUT,
-                self.blocks,
-                reached,
-                passes,
-                time.monotonic() - start,
-            )
+        except EngineAbort:
+            # BDDNodeLimit is a NodesOut, so allocation blowups and
+            # budget deadline/memory aborts both land here.
+            outcome = ApproxOutcome.RESOURCE_OUT
         finally:
             self.bdd.node_limit = saved_limit
         return ApproxResult(
-            ApproxOutcome.UNDECIDED,  # refined by check_target below
-            self.blocks,
-            reached,
-            passes,
-            time.monotonic() - start,
+            outcome, self.blocks, reached, passes, time.monotonic() - start
         )
 
     def check_target(

@@ -44,12 +44,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.atpg.encode import SolverSession, Unroller
+from repro.atpg.engine import atpg_limits
 from repro.core.property import UnreachabilityProperty
 from repro.kernel.scache import coi_circuit, solver_session
 from repro.netlist.circuit import Circuit
 from repro.obs import tracer as obs
+from repro.runtime.budget import Limits
 from repro.sat.solver import SatStatus, Solver
 from repro.trace import Trace
+
+
+#: Unrolling depth of a ``bmc`` run whose limits leave it unset.
+DEFAULT_MAX_DEPTH = 32
 
 
 class BmcOutcome(enum.Enum):
@@ -90,7 +96,7 @@ def _minimize_model(
     deterministic, this pins the entire model, so incremental and
     monolithic solving (whose raw CDCL models differ) decode to the
     *same* counterexample trace.  ``solve_fn(assumptions)`` must return a
-    :class:`SatResult`; a non-SAT/UNSAT status (budget or deadline ran
+    :class:`SatResult`; a non-SAT/UNSAT status (the conflict cap ran
     out mid-minimization) falls back to the last model seen.
     """
     queries: List[int] = []
@@ -138,9 +144,7 @@ def _bounded_step(
     circuit: Circuit,
     prop: UnreachabilityProperty,
     depth: int,
-    max_conflicts: Optional[int],
-    deadline: Optional[float] = None,
-    budget=None,
+    limits: Limits,
     canonical_trace: bool = False,
 ) -> Optional[Trace]:
     """SAT query: init & T^depth & bad@depth.  Returns a trace or None."""
@@ -152,9 +156,8 @@ def _bounded_step(
     def solve_fn(assumptions):
         return solver.solve(
             assumptions=assumptions,
-            max_conflicts=max_conflicts,
-            deadline=deadline,
-            budget=budget,
+            max_conflicts=limits.max_conflicts,
+            budget=limits.budget,
         )
 
     result = solve_fn([])
@@ -172,10 +175,8 @@ def _induction_step(
     circuit: Circuit,
     prop: UnreachabilityProperty,
     depth: int,
-    max_conflicts: Optional[int],
+    limits: Limits,
     unique_states: bool,
-    deadline: Optional[float] = None,
-    budget=None,
 ) -> Optional[bool]:
     """SAT query: ~bad@0..depth-1 & T^depth & bad@depth with a free start.
 
@@ -196,7 +197,7 @@ def _induction_step(
             for j in range(i + 1, depth + 1):
                 _add_disequality(cnf, unroller, registers, i, j)
     result = Solver(cnf).solve(
-        max_conflicts=max_conflicts, deadline=deadline, budget=budget
+        max_conflicts=limits.max_conflicts, budget=limits.budget
     )
     if result.status is SatStatus.UNSAT:
         return True
@@ -228,9 +229,7 @@ def _bounded_step_incremental(
     session: SolverSession,
     prop: UnreachabilityProperty,
     depth: int,
-    max_conflicts: Optional[int],
-    deadline: Optional[float] = None,
-    budget=None,
+    limits: Limits,
     canonical_trace: bool = False,
 ) -> Optional[Trace]:
     """``bad@depth`` asserted through assumptions on the shared session;
@@ -241,10 +240,7 @@ def _bounded_step_incremental(
 
     def solve_fn(extra):
         return session.solve(
-            extra,
-            max_conflicts=max_conflicts,
-            deadline=deadline,
-            budget=budget,
+            extra, max_conflicts=limits.max_conflicts, budget=limits.budget
         )
 
     result = solve_fn(assumptions)
@@ -262,10 +258,8 @@ def _induction_step_incremental(
     session: SolverSession,
     prop: UnreachabilityProperty,
     depth: int,
-    max_conflicts: Optional[int],
+    limits: Limits,
     unique_states: bool,
-    deadline: Optional[float] = None,
-    budget=None,
 ) -> Optional[bool]:
     """The induction obligation on the persistent free-start session.
 
@@ -297,9 +291,8 @@ def _induction_step_incremental(
         session.meta["uniq"] = max(uniq, depth)
     result = session.solve(
         _bad_literals(unroller, prop, depth),
-        max_conflicts=max_conflicts,
-        deadline=deadline,
-        budget=budget,
+        max_conflicts=limits.max_conflicts,
+        budget=limits.budget,
     )
     if result.status is SatStatus.UNSAT:
         return True
@@ -319,13 +312,10 @@ def _induction_tag(prop: UnreachabilityProperty, unique_states: bool):
 def bmc(
     circuit: Circuit,
     prop: UnreachabilityProperty,
-    max_depth: int = 32,
-    max_conflicts: Optional[int] = 200_000,
+    limits: Optional[Limits] = None,
     induction: bool = True,
     unique_states: bool = False,
     use_coi: bool = True,
-    max_seconds: Optional[float] = None,
-    budget=None,
     incremental: bool = True,
     canonical_trace: bool = False,
 ) -> BmcResult:
@@ -335,10 +325,13 @@ def bmc(
     and ``induction`` is on, try to close the proof with the ``k``-step
     induction obligation.
 
-    ``max_seconds`` bounds the whole run (each SAT call inherits the
-    remaining wall clock; an exceeded deadline yields UNKNOWN).
-    ``budget`` optionally attaches a :class:`repro.runtime.Budget`,
-    whose exhaustion raises a structured ``EngineAbort`` instead.
+    ``limits`` bounds the run: ``max_depth`` is the deepest ``k``
+    (:data:`DEFAULT_MAX_DEPTH` when unset), ``max_conflicts`` caps each
+    SAT call (unset = unlimited; an exhausted call answers nothing at
+    that depth), and the live ``budget`` -- polled once per depth and
+    inside every SAT call -- raises a structured ``EngineAbort`` when it
+    runs out.  Without ``limits`` the run gets the default depth and the
+    ATPG engines' default conflict cap (200k).
 
     ``incremental`` (default) runs both loops on pooled persistent
     solver sessions (see module docstring); ``incremental=False`` is the
@@ -347,82 +340,50 @@ def bmc(
     counterexample so both modes return the identical trace (used by the
     equivalence tests; costs one SAT call per free variable).
     """
+    limits = atpg_limits(limits)
+    max_depth = (
+        DEFAULT_MAX_DEPTH if limits.max_depth is None else limits.max_depth
+    )
+    budget = limits.budget
     with obs.span(
         "mc.bmc",
         max_depth=max_depth,
         induction=induction,
         incremental=incremental,
     ) as phase:
-        result = _bmc_run(
-            circuit,
-            prop,
-            max_depth=max_depth,
-            max_conflicts=max_conflicts,
-            induction=induction,
-            unique_states=unique_states,
-            use_coi=use_coi,
-            max_seconds=max_seconds,
-            budget=budget,
-            incremental=incremental,
-            canonical_trace=canonical_trace,
-        )
-        phase.set(result=result.outcome.value, depth=result.depth)
-        if result.induction_depth is not None:
-            phase.set(induction_depth=result.induction_depth)
-        return result
-
-
-def _bmc_run(
-    circuit: Circuit,
-    prop: UnreachabilityProperty,
-    max_depth: int = 32,
-    max_conflicts: Optional[int] = 200_000,
-    induction: bool = True,
-    unique_states: bool = False,
-    use_coi: bool = True,
-    max_seconds: Optional[float] = None,
-    budget=None,
-    incremental: bool = True,
-    canonical_trace: bool = False,
-) -> BmcResult:
-    start = time.monotonic()
-    deadline = (
-        None if max_seconds is None else start + max_seconds
-    )
-    prop.validate_against(circuit)
-    model = circuit
-    if use_coi:
-        model = coi_circuit(circuit, prop.signals())
-    bounded_session: Optional[SolverSession] = None
-    induction_session: Optional[SolverSession] = None
-    if incremental:
-        bounded_session = solver_session(
-            model, cycles=1, use_initial_state=True
-        )
-    for depth in range(max_depth + 1):
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        if budget is not None:
-            budget.checkpoint(engine="bmc")
+        start = time.monotonic()
+        prop.validate_against(circuit)
+        model = circuit
+        if use_coi:
+            model = coi_circuit(circuit, prop.signals())
+        bounded_session: Optional[SolverSession] = None
+        induction_session: Optional[SolverSession] = None
         if incremental:
-            trace = _bounded_step_incremental(
-                bounded_session, prop, depth, max_conflicts,
-                deadline, budget, canonical_trace,
+            bounded_session = solver_session(
+                model, cycles=1, use_initial_state=True
             )
-        else:
-            trace = _bounded_step(
-                model, prop, depth, max_conflicts, deadline, budget,
-                canonical_trace,
-            )
-        if trace is not None:
-            return BmcResult(
-                BmcOutcome.FALSE,
-                depth,
-                trace=trace,
-                seconds=time.monotonic() - start,
-            )
-        if induction and depth >= 1:
+        result = BmcResult(BmcOutcome.UNKNOWN, max_depth)
+        for depth in range(max_depth + 1):
+            if budget is not None:
+                budget.checkpoint(engine="bmc")
             if incremental:
+                trace = _bounded_step_incremental(
+                    bounded_session, prop, depth, limits, canonical_trace
+                )
+            else:
+                trace = _bounded_step(
+                    model, prop, depth, limits, canonical_trace
+                )
+            if trace is not None:
+                result = BmcResult(BmcOutcome.FALSE, depth, trace=trace)
+                break
+            if not induction or depth < 1:
+                continue
+            if not incremental:
+                holds = _induction_step(
+                    model, prop, depth, limits, unique_states
+                )
+            else:
                 if induction_session is None:
                     induction_session = solver_session(
                         model,
@@ -437,25 +398,16 @@ def _bmc_run(
                     induction_session.meta.get("nobad", 0),
                     induction_session.meta.get("uniq", 0),
                 )
-                if depth < watermark:
-                    holds = None
-                else:
-                    holds = _induction_step_incremental(
-                        induction_session, prop, depth, max_conflicts,
-                        unique_states, deadline, budget,
-                    )
-            else:
-                holds = _induction_step(
-                    model, prop, depth, max_conflicts, unique_states,
-                    deadline, budget,
+                holds = depth >= watermark and _induction_step_incremental(
+                    induction_session, prop, depth, limits, unique_states
                 )
             if holds:
-                return BmcResult(
-                    BmcOutcome.TRUE,
-                    depth,
-                    induction_depth=depth,
-                    seconds=time.monotonic() - start,
+                result = BmcResult(
+                    BmcOutcome.TRUE, depth, induction_depth=depth
                 )
-    return BmcResult(
-        BmcOutcome.UNKNOWN, max_depth, seconds=time.monotonic() - start
-    )
+                break
+        result.seconds = time.monotonic() - start
+        phase.set(result=result.outcome.value, depth=result.depth)
+        if result.induction_depth is not None:
+            phase.set(induction_depth=result.induction_depth)
+        return result

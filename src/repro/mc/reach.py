@@ -7,10 +7,10 @@ True on this model) or when a target state shows up in some ``S_k``.  The
 rings ``S_1..S_k`` are kept because the hybrid trace engine walks them
 backwards (Section 2.2).
 
-Resource limits (:class:`~repro.runtime.budget.Limits`: image steps,
-BDD nodes -- 2M unless set -- and wall-clock) end the run with the
-``RESOURCE_OUT`` outcome -- the honest answer a Python BDD engine must
-give on designs the paper's C engines also found hard.  When a runtime
+Resource limits (:class:`~repro.runtime.budget.Limits`: image steps
+and BDD nodes -- 2M unless set) end the run with the ``RESOURCE_OUT``
+outcome -- the honest answer a Python BDD engine must give on designs
+the paper's C engines also found hard.  When a runtime
 :class:`~repro.runtime.budget.Budget` is attached via
 ``Limits.budget``, its deadline/memory watermark is polled inside
 image computations (through the manager's ``checkpoint_hook``) and the
@@ -139,10 +139,6 @@ def forward_reach(
             return make_result(
                 ReachOutcome.RESOURCE_OUT, resource="iterations"
             )
-        if limits.max_seconds is not None and (
-            time.monotonic() - start > limits.max_seconds
-        ):
-            return make_result(ReachOutcome.RESOURCE_OUT, resource="time")
         if bdd.total_nodes() > max_nodes:
             bdd.collect_garbage()
             if bdd.total_nodes() > max_nodes:

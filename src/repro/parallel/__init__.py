@@ -23,16 +23,16 @@ determinism contract.
 from repro.engine import Verdict
 from repro.parallel.portfolio import (
     PortfolioResult,
+    budget_slice,
     canonical_witness,
     race,
-    slice_limits,
 )
 from repro.parallel.shard import ShardError, shard_map
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 
 __all__ = [
     "Verdict",
-    "slice_limits",
+    "budget_slice",
     "PortfolioResult",
     "canonical_witness",
     "race",

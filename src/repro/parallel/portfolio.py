@@ -2,7 +2,7 @@
 
 ``race`` runs every strategy on the same obligation, each inside its
 own budget slice.  Slicing follows one rule: **every strategy gets the
-same slice in sequential and parallel mode**.  :func:`slice_limits`
+same slice in sequential and parallel mode**.  :func:`budget_slice`
 divides the caller's remaining wall clock (and countable SAT/BDD
 resources) by the number of strategies once, up front; sequential
 execution burns the slices one after another, parallel execution
@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.property import UnreachabilityProperty
 from repro.engine import DisagreeError, Limits, Verdict, VerifyResult, join_all
@@ -60,57 +60,54 @@ from repro.trace import Trace
 STOP_GRACE = 5.0
 
 
-def slice_limits(budget: Optional[Budget], ways: int) -> Limits:
-    """Limits for one of ``ways`` equal budget slices.
+def budget_slice(
+    budget: Optional[Budget], ways: int
+) -> Callable[..., Optional[Budget]]:
+    """One of ``ways`` equal slices of ``budget``, sized now, started
+    later.
 
     Wall clock and countable resources (conflicts, BDD nodes) are split
-    evenly; the memory watermark is process-level and passes through
-    unchanged.  With no budget at all, every field is None (unlimited).
-    """
+    evenly from what ``budget`` has left at this call; the memory
+    watermark is process-level and passes through unchanged.  The
+    returned ``start(name, parent=None)`` materializes the slice as a
+    fresh :class:`Budget` whose clock starts at that call.  ``parent``
+    (in-process sequential mode only) intersects deadlines and
+    propagates charges upward; a forked worker passes None since the
+    parent lives in another process.  An unlimited slice without a
+    parent starts as None, keeping engines on their no-budget fast
+    path."""
     ways = max(1, ways)
-    if budget is None:
-        return Limits()
-    remaining = budget.remaining_seconds()
-    conflicts = budget.remaining_conflicts()
-    return Limits(
-        max_seconds=None if remaining is None else remaining / ways,
-        max_conflicts=None if conflicts is None else max(
-            1, conflicts // ways
-        ),
-        max_bdd_nodes=None if budget.max_bdd_nodes is None else max(
-            1, budget.max_bdd_nodes // ways
-        ),
-        max_memory_mb=budget.max_memory_mb,
-    )
+    caps: Dict[str, Optional[float]] = {}
+    if budget is not None:
+        remaining = budget.remaining_seconds()
+        conflicts = budget.remaining_conflicts()
+        caps = {
+            "max_seconds": None if remaining is None else remaining / ways,
+            "max_conflicts": None if conflicts is None else max(
+                1, conflicts // ways
+            ),
+            "max_bdd_nodes": None if budget.max_bdd_nodes is None else max(
+                1, budget.max_bdd_nodes // ways
+            ),
+            "max_memory_mb": budget.max_memory_mb,
+        }
+    unlimited = all(cap is None for cap in caps.values())
+
+    def start(
+        name: str, parent: Optional[Budget] = None
+    ) -> Optional[Budget]:
+        if parent is None and unlimited:
+            return None
+        return Budget(name=name, parent=parent, **caps)
+
+    return start
 
 
-def budget_from_limits(
-    limits: Limits,
-    name: str,
-    parent: Optional[Budget] = None,
-) -> Optional[Budget]:
-    """Materialize a slice budget.  ``parent`` (in-process sequential
-    mode only) intersects deadlines and propagates charges upward; a
-    forked worker passes None since the parent lives in another
-    process.  A fully unlimited slice materializes as None, keeping
-    engines on their no-budget fast path."""
-    if parent is None and limits.unlimited():
-        return None
-    return Budget(
-        max_seconds=limits.max_seconds,
-        max_conflicts=limits.max_conflicts,
-        max_bdd_nodes=limits.max_bdd_nodes,
-        max_memory_mb=limits.max_memory_mb,
-        name=name,
-        parent=parent,
-    )
-
-
-def _race_worker(send, strategy, circuit, prop, limits, chaos) -> None:
-    """Body of one forked portfolio worker: materialize the budget slice
-    (the clock starts *here*, when the worker starts running) and send
+def _race_worker(send, strategy, circuit, prop, start_slice, chaos) -> None:
+    """Body of one forked portfolio worker: start the budget slice (the
+    clock starts *here*, when the worker starts running) and send
     exactly one envelope."""
-    budget = budget_from_limits(limits, name=f"portfolio/{strategy}")
+    budget = start_slice(f"portfolio/{strategy}")
     envelope = run_strategy(strategy, circuit, prop, budget, chaos=chaos)
     envelope.perf = PERF.snapshot()
     if obs.TRACER.enabled:
@@ -132,8 +129,7 @@ def canonical_witness(
     result = bmc(
         circuit,
         prop,
-        max_depth=max(0, witness.length - 1),
-        max_conflicts=None,
+        Limits(max_depth=max(0, witness.length - 1)),
         induction=False,
         incremental=False,
         canonical_trace=True,
@@ -244,7 +240,7 @@ def race(
     """
     strategies = tuple(strategies)
     start = time.monotonic()
-    limits = slice_limits(budget, len(strategies))
+    start_slice = budget_slice(budget, len(strategies))
     result = PortfolioResult(
         verdict=Verdict.UNKNOWN, jobs=max(1, jobs), strategies=strategies
     )
@@ -275,11 +271,12 @@ def race(
             if budget is not None and budget.expired():
                 note(f"[portfolio] parent budget expired before {strategy}")
                 break
-            slice_budget = budget_from_limits(
-                limits, name=f"portfolio/{strategy}", parent=budget
-            )
             envelope = run_strategy(
-                strategy, circuit, prop, slice_budget, chaos=chaos
+                strategy,
+                circuit,
+                prop,
+                start_slice(f"portfolio/{strategy}", parent=budget),
+                chaos=chaos,
             )
             collect(envelope)
             if envelope.definite:
@@ -295,7 +292,7 @@ def race(
 
     def launch(strategy: str) -> None:
         worker = pool.Worker(
-            _race_worker, strategy, circuit, prop, limits, chaos,
+            _race_worker, strategy, circuit, prop, start_slice, chaos,
             name=f"portfolio-{strategy}",
         )
         running[worker] = strategy

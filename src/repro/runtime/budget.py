@@ -8,7 +8,9 @@ memory watermark -- and is threaded *into* the engines' hot loops:
   and polls the deadline every few dozen decisions,
 - ``bdd.manager.BDD.checkpoint_hook`` polls it every few thousand node
   allocations (so a single enormous image computation still aborts),
-- ``mc.reach.forward_reach`` polls it per fixpoint iteration,
+- ``mc.reach.forward_reach`` polls it per fixpoint iteration and
+  ``mc.approx.ApproximateReach`` per block image,
+- ``mc.bmc.bmc`` and the ``atpg`` engine poll it per unrolling depth,
 - ``kernel.bitsim.BitParallelSimulator`` polls it between plan segments,
 - the RFN loop polls it per CEGAR iteration.
 
@@ -22,9 +24,10 @@ Budgets serialize their *spent* side (:meth:`spent`, :meth:`to_json`)
 so checkpoint files can report cumulative cost across resumed runs.
 
 :class:`Limits` is the one resource envelope an engine call is given:
-the scalar caps (an engine reads the caps it understands and ignores
-the rest) plus, optionally, a live ``Budget``.  Engine defaults are
-resolved where each engine reads its caps, not here.
+the counted-work caps (an engine reads the caps it understands and
+ignores the rest) plus, optionally, a live ``Budget`` -- the one wall
+clock.  Engine defaults are resolved where each engine reads its caps,
+not here.
 """
 
 from __future__ import annotations
@@ -345,43 +348,28 @@ class Limits:
     """Resource envelope for one engine call.
 
     All caps are optional; ``None`` means unlimited, except for the caps
-    an engine gives a default (reachability's node cap).  An engine
-    called without any ``Limits`` runs under its default envelope (the
-    ATPG engines' conflict cap).  A live ``budget`` (never serialized --
-    it holds a deadline and a parent link) carries the cooperative
-    metering hooks and raises structured aborts; the scalar caps keep
-    the engines' return-code semantics (``ABORTED``, ``RESOURCE_OUT``)
-    and let a forked worker rebuild an equivalent budget on its side of
-    the pipe.
+    an engine gives a default (reachability's node cap, BMC's depth).
+    An engine called without any ``Limits`` runs under its default
+    envelope (the ATPG engines' conflict cap).  The scalar caps bound
+    counted work and keep the engines' return-code semantics
+    (``ABORTED``, ``RESOURCE_OUT``).  Wall clock and memory are not
+    scalar caps: they live only on the optional live ``budget`` (never
+    serialized -- it holds a deadline and a parent link), which carries
+    the cooperative metering hooks and raises structured aborts.
     """
 
-    max_seconds: Optional[float] = None
     #: SAT unrolling depth
     max_depth: Optional[int] = None
     #: reachability image steps
     max_iterations: Optional[int] = None
     max_conflicts: Optional[int] = None
     max_bdd_nodes: Optional[int] = None
-    max_memory_mb: Optional[float] = None
     #: explicit-state count
     max_states: Optional[int] = None
     budget: Optional[Budget] = None
 
-    def unlimited(self) -> bool:
-        """True when no cap of any kind is set."""
-        return (
-            self.max_seconds is None
-            and self.max_depth is None
-            and self.max_iterations is None
-            and self.max_conflicts is None
-            and self.max_bdd_nodes is None
-            and self.max_memory_mb is None
-            and self.max_states is None
-            and self.budget is None
-        )
-
     def scaled(self, factor: float) -> "Limits":
-        """A copy with the seconds, iteration, conflict and BDD-node caps
+        """A copy with the iteration, conflict and BDD-node caps
         multiplied by ``factor`` (the supervisor's retry allowance).
         Integer caps stay integers, unset caps stay unset, and every
         other field passes through unscaled."""
@@ -391,10 +379,6 @@ class Limits:
 
         return replace(
             self,
-            max_seconds=(
-                None if self.max_seconds is None
-                else self.max_seconds * factor
-            ),
             max_iterations=grow(self.max_iterations),
             max_conflicts=grow(self.max_conflicts),
             max_bdd_nodes=grow(self.max_bdd_nodes),
@@ -402,16 +386,10 @@ class Limits:
 
     def solve_kwargs(self) -> Dict[str, object]:
         """Keyword arguments for :meth:`repro.sat.solver.Solver.solve`:
-        the conflict cap, the propagation cap, a deadline ``max_seconds``
-        from now, and the live budget (whose own deadline the solver
-        intersects with that one)."""
-        max_seconds = self.max_seconds
+        the conflict cap, the propagation cap and the live budget (whose
+        deadline the solver polls)."""
         return {
             "max_conflicts": self.max_conflicts,
             "max_propagations": MAX_PROPAGATIONS,
-            "deadline": (
-                None if max_seconds is None
-                else time.monotonic() + max_seconds
-            ),
             "budget": self.budget,
         }

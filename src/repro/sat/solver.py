@@ -491,34 +491,25 @@ class Solver:
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
         max_propagations: Optional[int] = None,
-        deadline: Optional[float] = None,
         budget=None,
     ) -> SatResult:
         """Search for a model consistent with ``assumptions``.
 
-        Returns SAT with a total model, UNSAT, or UNKNOWN when a budget is
-        exhausted.  ``deadline`` is an absolute ``time.monotonic()``
-        instant: the restart loop and the per-decision poll check it so
-        no SAT call can exceed a wall-clock limit (UNKNOWN is returned,
-        matching the conflict/decision budget semantics).  ``budget`` is
-        an optional :class:`repro.runtime.Budget`: conflicts/decisions
-        are charged to it as search progresses and its ``checkpoint``
-        raises a structured :class:`repro.runtime.EngineAbort` -- the
-        exception-based path the portfolio supervisor consumes.
+        Returns SAT with a total model, UNSAT, or UNKNOWN when a counted
+        cap is exhausted.  ``budget`` is an optional
+        :class:`repro.runtime.Budget`, the one wall clock: the restart
+        loop and the per-decision poll check its deadline, conflicts and
+        decisions are charged to it as search progresses, and its
+        ``checkpoint`` raises a structured
+        :class:`repro.runtime.EngineAbort` -- the exception-based path
+        the portfolio supervisor consumes.
         """
         if self._attached is not None and (
             self._absorbed < len(self._attached.clauses)
         ):
             self.absorb()  # pick up clauses appended since the last call
         stats_base = (self.conflicts, self.decisions, self.propagations)
-        if budget is not None:
-            budget_deadline = budget.deadline
-            if budget_deadline is not None:
-                deadline = (
-                    budget_deadline
-                    if deadline is None
-                    else min(deadline, budget_deadline)
-                )
+        deadline = None if budget is None else budget.deadline
 
         charged = [0, 0]  # conflicts, decisions already charged to budget
 

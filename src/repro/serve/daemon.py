@@ -58,7 +58,7 @@ from repro.netlist.textio import circuit_from_text
 from repro.obs import tracer as obs
 from repro.engine import Verdict, VerifyResult
 from repro.parallel import pool
-from repro.parallel.portfolio import budget_from_limits, slice_limits
+from repro.parallel.portfolio import budget_slice
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosMonkey
@@ -198,7 +198,7 @@ def job_worker_main(send, heartbeat, payload: dict) -> None:
     )
     timeout = payload.get("timeout")
     budget = Budget(max_seconds=timeout) if timeout is not None else None
-    limits = slice_limits(budget, len(strategies))
+    start_slice = budget_slice(budget, len(strategies))
     checkpoint_path = payload.get("checkpoint")
 
     winner: Optional[VerifyResult] = None
@@ -206,9 +206,7 @@ def job_worker_main(send, heartbeat, payload: dict) -> None:
     with obs.span("serve.attempt", job=payload.get("id", "?")) as attempt:
         for strategy in strategies:
             send(("strategy", strategy))
-            slice_budget = budget_from_limits(
-                limits, name=f"serve/{strategy}"
-            )
+            slice_budget = start_slice(f"serve/{strategy}")
             fn = None
             if strategy == "rfn" and checkpoint_path:
                 fn = _rfn_with_checkpoint(checkpoint_path)

@@ -21,7 +21,7 @@ from repro.kernel.perf import PERF
 from repro.kernel.scache import clear_caches, solver_session
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.runtime.abort import ConflictsOut
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, Limits
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatStatus, Solver
 
@@ -158,12 +158,12 @@ def test_solver_session_perf_counters():
     clear_caches()
     PERF.reset()
     circuit, prop = saturating_counter()
-    bmc(circuit, prop, max_depth=6, induction=False)
+    bmc(circuit, prop, Limits(max_depth=6), induction=False)
     counters = PERF.snapshot()["counters"]
     assert counters.get("unroll.frames_appended", 0) >= 5
     assert counters.get("sat.clauses_reused", 0) > 0
     hits_before = PERF.cache_hits.get("solver_pool", 0)
-    bmc(circuit, prop, max_depth=6, induction=False)
+    bmc(circuit, prop, Limits(max_depth=6), induction=False)
     assert PERF.cache_hits.get("solver_pool", 0) > hits_before
 
 
@@ -180,17 +180,16 @@ def _bmc_pair(seed: int):
     if seed in _RESULTS_CACHE:
         return _RESULTS_CACHE[seed]
     inst = generate_instance(seed, GenConfig())
+    limits = Limits(max_depth=10)
     kwargs = dict(
-        max_depth=10,
-        max_conflicts=None,
         induction=True,
         unique_states=True,
         canonical_trace=True,
     )
     clear_caches()
-    incr = bmc(inst.circuit, inst.prop, incremental=True, **kwargs)
+    incr = bmc(inst.circuit, inst.prop, limits, incremental=True, **kwargs)
     clear_caches()
-    mono = bmc(inst.circuit, inst.prop, incremental=False, **kwargs)
+    mono = bmc(inst.circuit, inst.prop, limits, incremental=False, **kwargs)
     _RESULTS_CACHE[seed] = (incr, mono)
     return incr, mono
 
@@ -219,10 +218,10 @@ def test_pooled_induction_session_reuse_is_sound():
     the early depths; verdicts must still match a cold run."""
     circuit, prop = saturating_counter()
     clear_caches()
-    warm1 = bmc(circuit, prop, max_depth=12, unique_states=True)
-    warm2 = bmc(circuit, prop, max_depth=12, unique_states=True)
+    warm1 = bmc(circuit, prop, Limits(max_depth=12), unique_states=True)
+    warm2 = bmc(circuit, prop, Limits(max_depth=12), unique_states=True)
     clear_caches()
-    cold = bmc(circuit, prop, max_depth=12, unique_states=True,
+    cold = bmc(circuit, prop, Limits(max_depth=12), unique_states=True,
                incremental=False)
     assert warm1.outcome == cold.outcome
     assert warm2.outcome == cold.outcome

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -107,12 +108,42 @@ def buggy_netlist(tmp_path):
 
 
 class TestResilienceCli:
-    def test_timeout_exit_resource_out(self, true_netlist, capsys):
+    @pytest.mark.parametrize("engine", [
+        "rfn", "bdd", "bmc", "kinduction", "kernel", "atpg", "portfolio",
+    ])
+    def test_timeout_exit_resource_out(self, true_netlist, capsys, engine):
         path, wd = true_netlist
         code = main(["verify", path, "--watchdog", wd,
-                     "--timeout", "0.0"])
+                     "--engine", engine, "--timeout", "0.0"])
         assert code == 2
-        assert "resource out" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        if engine == "rfn":
+            assert "resource out: rfn: time: " in out
+        elif engine != "portfolio":
+            # The single engine's detail names the time abort:
+            # "bdd: unknown (reachability resource limit (time))",
+            # "atpg: unknown (atpg: time: budget ... deadline passed)".
+            line = out.splitlines()[0]
+            assert line.startswith(f"{engine}: unknown (")
+            assert re.search(r"\btime[:)]", line), line
+
+    @pytest.mark.parametrize("argv", [
+        ["--engine", "nope"],
+        ["--max-seconds", "5"],
+    ], ids=["unknown-engine", "removed-flag"])
+    def test_argparse_usage_error_exits_three(self, true_netlist, capsys,
+                                              argv):
+        path, wd = true_netlist
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, "--watchdog", wd] + argv)
+        assert exit_info.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--help"])
+        assert exit_info.value.code == 0
+        assert "--timeout" in capsys.readouterr().out
 
     def test_missing_target_is_usage_error(self, true_netlist, capsys):
         path, _ = true_netlist

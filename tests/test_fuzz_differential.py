@@ -11,6 +11,8 @@ to a minimal reproducer -- otherwise the zero-findings result above is
 vacuous.
 """
 
+import time
+
 import pytest
 
 import repro.fuzz.oracle as oracle_mod
@@ -29,6 +31,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.campaign import shrink_finding
 from repro.fuzz.oracle import EngineVerdict
+from repro.runtime import Budget
 
 SEEDS = list(range(25))
 
@@ -80,6 +83,66 @@ class TestEngineAgreement:
         }
         assert Verdict.VERIFIED in consensus
         assert Verdict.FALSIFIED in consensus
+
+
+class TestEngineSeconds:
+    """The oracle's per-engine wall clock is a child of the instance
+    budget: running out of it stops only that engine."""
+
+    @pytest.mark.parametrize("instance_seconds", [None, 60.0])
+    def test_engine_cap_does_not_end_the_instance(
+        self, monkeypatch, instance_seconds
+    ):
+        monkeypatch.setattr(oracle_mod, "ENGINE_SECONDS", 0.0)
+        inst = generate_instance(2)  # a verified property
+        budget = (
+            None if instance_seconds is None
+            else Budget(max_seconds=instance_seconds)
+        )
+        report = run_oracle(
+            inst.circuit, inst.prop, OracleConfig(), budget=budget
+        )
+        verdicts = {v.engine: v.verdict for v in report.verdicts}
+        assert verdicts == {
+            "bmc": Verdict.VERIFIED,
+            "bdd": Verdict.UNKNOWN,
+            "rfn": Verdict.UNKNOWN,
+            "kernel": Verdict.VERIFIED,
+        }
+        assert not report.resource_out
+        assert report.ok
+
+    @pytest.mark.parametrize(
+        "engine_seconds, instance_seconds, stall, instance_stop",
+        [(0.0, 60.0, 0.0, False), (20.0, 0.05, 0.1, True)],
+        ids=["engine-cap", "instance-budget"],
+    )
+    def test_raised_timeout_is_classified_by_the_instance_budget(
+        self, monkeypatch, engine_seconds, instance_seconds, stall,
+        instance_stop,
+    ):
+        monkeypatch.setattr(oracle_mod, "ENGINE_SECONDS", engine_seconds)
+
+        def stalled_bdd(circuit, prop, config):
+            time.sleep(stall)
+            oracle_mod._engine_budget("bdd", config).checkpoint(engine="bdd")
+
+        monkeypatch.setitem(oracle_mod.ENGINES, "bdd", stalled_bdd)
+        inst = generate_instance(2)
+        report = run_oracle(
+            inst.circuit, inst.prop, OracleConfig(),
+            engines=("bdd", "kernel"),
+            budget=Budget(max_seconds=instance_seconds),
+        )
+        bdd, kernel = report.verdicts
+        assert bdd.verdict is Verdict.UNKNOWN
+        assert report.resource_out is instance_stop
+        if instance_stop:
+            assert bdd.detail.startswith("instance budget: ")
+            assert kernel.detail == "instance budget exhausted"
+        else:
+            assert bdd.detail.startswith("engine budget: ")
+            assert kernel.verdict is Verdict.VERIFIED
 
 
 class TestInjectedBug:

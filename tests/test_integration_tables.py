@@ -19,6 +19,7 @@ from repro.core.coverage import (
 )
 from repro.designs import table1_workloads, table2_workloads
 from repro.engine import Limits, Verdict, registry
+from repro.runtime.budget import Budget
 from repro.netlist.ops import coi_stats
 from repro.sim import Simulator
 
@@ -32,7 +33,7 @@ def table1():
 def rfn_results(table1):
     results = {}
     for workload in table1:
-        config = RfnConfig(max_seconds=300)
+        config = RfnConfig(budget=Budget(max_seconds=300))
         results[workload.name] = RFN(
             workload.circuit, workload.prop, config
         ).run()
@@ -76,7 +77,7 @@ class TestTable1Shape:
         result = registry.get("bdd").run(
             workload.circuit,
             workload.prop,
-            Limits(max_bdd_nodes=60_000, max_seconds=20),
+            Limits(max_bdd_nodes=60_000, budget=Budget(max_seconds=20)),
         )
         # The node guard already trips while encoding the COI.
         assert result.verdict is Verdict.UNKNOWN

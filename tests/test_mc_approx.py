@@ -12,7 +12,7 @@ from repro.mc.approx import (
     approximate_check,
     overlapping_blocks,
 )
-from repro.runtime.budget import Limits
+from repro.runtime.budget import Budget, Limits
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq_const, w_inc
 
@@ -126,9 +126,10 @@ class TestApproximateReach:
         approx = ApproximateReach(encoding, block_size=2, overlap=1)
         result = approx.run(
             encoding.initial_states(),
-            limits=Limits(max_seconds=0.0),
+            limits=Limits(budget=Budget(max_seconds=0.0)),
         )
         assert result.outcome is ApproxOutcome.RESOURCE_OUT
+        assert result.passes == 1
 
 
 class TestRfnIntegration:

@@ -107,7 +107,7 @@ class TestChecker:
         c, prop = counter_with_watchdog(width=6, bad_value=60)
         result = bdd_check(c, prop, limits=Limits(max_iterations=2))
         assert result.verdict is Verdict.UNKNOWN
-        assert result.detail == "reachability resource limit"
+        assert result.detail == "reachability resource limit (iterations)"
 
     def test_coi_reduction_prunes_unrelated_logic(self):
         c, prop = safe_counter()

@@ -31,7 +31,7 @@ from repro.fuzz.campaign import run_campaign
 from repro.fuzz.gen import generate_instance
 from repro.kernel.perf import PERF
 from repro.engine import FunctionEngine, Verdict, VerifyResult, registry
-from repro.parallel.portfolio import budget_from_limits, race, slice_limits
+from repro.parallel.portfolio import budget_slice, race
 from repro.parallel.shard import SKIPPED, ShardError, shard_map
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 from repro.runtime.abort import EngineAbort, MemoryOut
@@ -119,19 +119,33 @@ def test_slice_limits_divides_countable_resources():
     budget = Budget(
         max_seconds=8.0, max_conflicts=1000, max_memory_mb=512
     )
-    limits = slice_limits(budget, 4)
-    assert limits.max_seconds == pytest.approx(2.0, abs=0.1)
-    assert limits.max_conflicts == 250
-    assert limits.max_memory_mb == 512  # watermark passes through
-
-    child = budget_from_limits(limits, name="slice")
+    start_slice = budget_slice(budget, 4)
+    child = start_slice("slice")
+    assert child.max_seconds == pytest.approx(2.0, abs=0.1)
+    assert child.max_conflicts == 250
+    assert child.max_memory_mb == 512  # watermark passes through
+    assert child.parent is None  # a forked worker's slice stands alone
     assert child.remaining_conflicts() == 250
 
 
+def test_slice_limits_sized_once_and_clocked_per_start():
+    budget = Budget(max_seconds=8.0)
+    start_slice = budget_slice(budget, 4)
+    first = start_slice("first")
+    time.sleep(0.05)
+    second = start_slice("second", parent=budget)
+    # Sized when the race starts, not when each strategy starts...
+    assert second.max_seconds == first.max_seconds
+    # ...but each slice's clock starts with its strategy, and the
+    # in-process slice still ends no later than the race budget.
+    assert second.remaining_seconds() > first.remaining_seconds()
+    assert second.deadline <= budget.deadline
+    assert second.parent is budget
+
+
 def test_slice_limits_without_budget_is_unlimited():
-    limits = slice_limits(None, 4)
-    assert limits.unlimited()
-    assert budget_from_limits(limits, name="free") is None
+    start_slice = budget_slice(None, 4)
+    assert start_slice("free") is None
 
 
 def test_expired_parent_budget_yields_unknown():

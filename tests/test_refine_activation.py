@@ -116,7 +116,7 @@ def fuzz_steps(seed, max_steps=4):
     abstraction = Abstraction.initial(inst.circuit, inst.prop)
     for _ in range(max_steps):
         result = bmc(
-            abstraction.model, inst.prop, max_depth=8, incremental=False
+            abstraction.model, inst.prop, Limits(max_depth=8), incremental=False
         )
         if result.outcome is not BmcOutcome.FALSE or result.trace.length < 2:
             return

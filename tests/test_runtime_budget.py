@@ -161,10 +161,10 @@ class TestAbortTaxonomy:
 
 
 class TestSolverBudget:
-    def test_past_deadline_returns_unknown(self):
+    def test_past_deadline_raises_timeout(self):
         solver = Solver(pigeonhole(7, 6))
-        result = solver.solve(deadline=time.monotonic() - 1.0)
-        assert result.status is SatStatus.UNKNOWN
+        with pytest.raises(Timeout):
+            solver.solve(budget=Budget(max_seconds=0.0))
 
     def test_runtime_conflicts_raise(self):
         budget = Budget(max_conflicts=200)
@@ -238,30 +238,35 @@ class TestReachBudget:
 
 
 class TestLimitsSolveKwargs:
-    def test_solve_kwargs_deadline_from_max_seconds(self):
-        kwargs = Limits(max_seconds=5.0).solve_kwargs()
-        assert kwargs["deadline"] == pytest.approx(
-            time.monotonic() + 5.0, abs=1.0
-        )
+    def test_solve_kwargs_carry_the_budget_as_the_only_clock(self):
+        budget = Budget(max_seconds=5.0)
+        kwargs = Limits(max_conflicts=7, budget=budget).solve_kwargs()
+        assert kwargs == {
+            "max_conflicts": 7,
+            "max_propagations": 50_000_000,
+            "budget": budget,
+        }
 
     def test_solve_kwargs_takes_earlier_deadline(self):
-        # The solver intersects the max_seconds deadline with the
-        # attached budget's: whichever is earlier ends the search.
+        # The solver reads the budget's deadline, which is intersected
+        # with every ancestor's: whichever is earlier ends the search.
+        roomy = Budget(max_seconds=100.0)
+        with pytest.raises(Timeout):
+            Solver(pigeonhole(7, 6)).solve(
+                **Limits(budget=roomy.sub("step", seconds=0.0)).solve_kwargs()
+            )
         past = Budget(max_seconds=0.0)
         with pytest.raises(Timeout):
             Solver(pigeonhole(7, 6)).solve(
-                **Limits(max_seconds=100.0, budget=past).solve_kwargs()
+                **Limits(
+                    budget=Budget(max_seconds=100.0, parent=past)
+                ).solve_kwargs()
             )
-        roomy = Budget(max_seconds=100.0)
-        result = Solver(pigeonhole(7, 6)).solve(
-            **Limits(max_seconds=0.0, budget=roomy).solve_kwargs()
-        )
-        assert result.status is SatStatus.UNKNOWN
 
-    def test_max_seconds_zero_gives_unknown(self):
-        # The deadline from solve_kwargs() reaches the solver's restart
-        # loop: a search-heavy instance stops as UNKNOWN immediately.
-        kwargs = Limits(max_seconds=0.0).solve_kwargs()
+    def test_conflict_cap_gives_unknown(self):
+        # A counted cap from solve_kwargs() reaches the solver's restart
+        # loop: a search-heavy instance stops as UNKNOWN, not raising.
+        kwargs = Limits(max_conflicts=10).solve_kwargs()
         result = Solver(pigeonhole(7, 6)).solve(**kwargs)
         assert result.status is SatStatus.UNKNOWN
 
@@ -279,7 +284,7 @@ class TestLimitsSolveKwargs:
             circuit,
             11,
             {10: dict(prop.target)},
-            limits=Limits(max_seconds=30.0, budget=Budget(max_seconds=30.0)),
+            limits=Limits(budget=Budget(max_seconds=30.0)),
             skip_missing=True,
         )
         assert result.outcome is AtpgOutcome.TRACE_FOUND
@@ -287,25 +292,21 @@ class TestLimitsSolveKwargs:
 
 class TestLimitsScaled:
     CAPS = Limits(
-        max_seconds=2.5,
         max_depth=7,
         max_iterations=3,
         max_conflicts=50_000,
         max_bdd_nodes=2_000_000,
-        max_memory_mb=512.0,
         max_states=1000,
     )
 
     @staticmethod
     def reach_block(limits, scale):
-        """Step 2's former retry scaling (iterations, nodes, seconds)."""
+        """Step 2's former retry scaling (iterations, nodes)."""
         return (
             None if limits.max_iterations is None
             else int(limits.max_iterations * scale),
             None if limits.max_bdd_nodes is None
             else int(limits.max_bdd_nodes * scale),
-            None if limits.max_seconds is None
-            else limits.max_seconds * scale,
         )
 
     @staticmethod
@@ -320,7 +321,7 @@ class TestLimitsScaled:
     def test_matches_the_retry_blocks_it_replaced(self, factor):
         grown = self.CAPS.scaled(factor)
         assert (
-            grown.max_iterations, grown.max_bdd_nodes, grown.max_seconds
+            grown.max_iterations, grown.max_bdd_nodes
         ) == self.reach_block(self.CAPS, factor)
         assert grown.max_conflicts == self.conflict_block(self.CAPS, factor)
 
@@ -332,17 +333,14 @@ class TestLimitsScaled:
     def test_unset_caps_stay_unset(self):
         grown = Limits().scaled(2.0)
         assert grown == Limits()
-        assert grown.unlimited()
 
     def test_caps_no_retry_block_scaled_pass_through(self):
         budget = Budget(max_seconds=30.0)
-        grown = Limits(
-            max_depth=7, max_states=1000, max_memory_mb=256.0, budget=budget
-        ).scaled(4.0)
+        grown = Limits(max_depth=7, max_states=1000, budget=budget).scaled(4.0)
         assert grown.max_depth == 7
         assert grown.max_states == 1000
-        assert grown.max_memory_mb == 256.0
         assert grown.budget is budget
+        assert budget.max_seconds == 30.0
 
     def test_returns_a_copy(self):
         limits = Limits(max_conflicts=10)
@@ -355,7 +353,6 @@ def _reach_caps(limits):
     limits = limits if limits is not None else Limits()
     return Limits(
         max_iterations=limits.max_iterations,
-        max_seconds=limits.max_seconds,
         max_bdd_nodes=reach_node_cap(limits),
         budget=limits.budget,
     )
@@ -441,9 +438,7 @@ SITES = [
 def test_default_caps_per_site(monkeypatch, site, given, resolve, caps):
     effective = resolve(given(monkeypatch))
     assert effective == caps
-    kwargs = effective.solve_kwargs()
-    assert kwargs.pop("deadline") is None
-    assert kwargs == {
+    assert effective.solve_kwargs() == {
         "max_conflicts": caps.max_conflicts,
         "max_propagations": 50_000_000,
         "budget": None,
