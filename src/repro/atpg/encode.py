@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 from repro.kernel.perf import PERF
 from repro.kernel.scache import frame_template
 from repro.netlist.circuit import Circuit
+from repro.obs import tracer as obs
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatResult, Solver
 
@@ -240,17 +241,21 @@ class SolverSession:
         use_initial_state: bool = True,
         initial_state: Optional[Mapping[str, int]] = None,
     ) -> None:
-        self.unroller = Unroller(
-            circuit,
-            cycles,
-            initial_state=initial_state,
-            guarded=True,
-        )
+        with obs.span(
+            "sat.session", gates=circuit.num_gates, cycles=cycles
+        ) as phase:
+            self.unroller = Unroller(
+                circuit,
+                cycles,
+                initial_state=initial_state,
+                guarded=True,
+            )
+            self.solver = Solver()
+            self.solver.attach(self.unroller.cnf)
+            self.solver.absorb()
+            phase.set(clauses=self.solver.num_clauses)
         #: whether queries assume the unroller's init literal
         self.initialized = use_initial_state or initial_state is not None
-        self.solver = Solver()
-        self.solver.attach(self.unroller.cnf)
-        self.solver.absorb()
         self.queries = 0
         #: caller scratch for monotone bookkeeping (the incremental BMC
         #: induction loop records which frames already carry not-bad and

@@ -639,34 +639,57 @@ class BDD(CubeMixin, ReorderMixin):
 
     def transfer(self, f: Function) -> Function:
         """Copy ``f`` from its own manager into this one, matching
-        variables by name.
-
-        One memoised walk over ``f``'s nodes: each source node becomes
-        ``ite(var(name), copy(high), copy(low))`` here, so the copy does
-        not depend on either manager's variable order.  Every variable in
+        variables by name (see :meth:`transferrer`).  Every variable in
         ``f``'s support must be declared in this manager
-        (:class:`BDDError` otherwise).
+        (:class:`BDDError` otherwise)."""
+        return self.transferrer(f.bdd)(f)
+
+    def transferrer(self, src: "BDD") -> Callable[[Function], Function]:
+        """A :meth:`transfer` from ``src`` whose calls share one memo, so
+        copying many functions visits each source node once.
+
+        When the variables the two managers share lie in the same
+        relative order here (say, a saved order with new variables
+        inserted), the level map is monotone and each source node is
+        copied node-for-node: ``mk(level, copy(low), copy(high))`` on its
+        variable's level here.  Otherwise a node becomes
+        ``ite(var(name), copy(high), copy(low))``, which does not depend
+        on either order.  Both give the canonical node of the function.
         """
-        src = f.bdd
         memo: Dict[int, int] = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
-        literals: Dict[int, int] = {}  # source level -> literal node here
+        levels: Dict[int, int] = {}  # source level -> level here
+        for src_level, var in enumerate(src._level2var):
+            ours = self._name2var.get(src._var_names[var])
+            if ours is not None:
+                levels[src_level] = self._var2level[ours]
+        mapped = [levels[level] for level in sorted(levels)]
+        monotone = all(a < b for a, b in zip(mapped, mapped[1:]))
+        src_level_of, src_low, src_high = src._level, src._low, src._high
 
         def copy(node: int) -> int:
             done = memo.get(node)
             if done is not None:
                 return done
-            level = src._level[node]
-            literal = literals.get(level)
-            if literal is None:
-                name = src._var_names[src._level2var[level]]
-                literal = literals[level] = self.var(name).node
-            result = self._ite(
-                literal, copy(src._high[node]), copy(src._low[node])
-            )
+            level = levels.get(src_level_of[node])
+            if level is None:
+                name = src._var_names[src._level2var[src_level_of[node]]]
+                raise BDDError(f"undeclared variable {name!r}")
+            high = copy(src_high[node])
+            low = copy(src_low[node])
+            if monotone:
+                result = self._mk(level, low, high)
+            else:
+                literal = self._var_nodes[self._level2var[level]]
+                result = self._ite(literal, high, low)
             memo[node] = result
             return result
 
-        return self._wrap(copy(f.node))
+        def transfer(f: Function) -> Function:
+            if f.bdd is not src:
+                raise BDDError("function belongs to a different manager")
+            return self._wrap(copy(f.node))
+
+        return transfer
 
     # ------------------------------------------------------------------
     # Housekeeping

@@ -25,10 +25,10 @@ from typing import Iterable, List, Optional, Sequence
 from repro.atpg.engine import AtpgOutcome, atpg_limits, sequential_atpg
 from repro.core.property import UnreachabilityProperty
 from repro.trace import Trace
+from repro.kernel.bitsim import BitParallelSimulator, pack_value
 from repro.kernel.scache import coi_circuit
 from repro.netlist.circuit import Circuit
 from repro.runtime.budget import Limits
-from repro.sim.logic3 import ONE, X
 from repro.sim.simulator import Simulator
 
 
@@ -60,29 +60,32 @@ def replay_trace(
     """Simulate the trace's input cubes on the original design from reset;
     returns a concrete error trace if a bad state is visited.
 
-    Unassigned inputs are driven to 0 (any completion of a concrete input
-    trace is as good as another for replay purposes); the check itself is
-    a plain 2-valued simulation.
+    Unassigned inputs are driven to 0 and free-init registers start at 0
+    (any completion of a concrete input trace is as good as another for
+    replay purposes).  Only the property's cone of influence decides
+    whether a bad state is visited, so the replay runs one lane of the
+    bit-parallel kernel over the COI circuit, and only a hit is lifted
+    to the full design.
     """
-    sim = Simulator(original)
-    state = sim.initial_state(default=0)
-    states: List[dict] = []
-    inputs: List[dict] = []
+    reduced = coi_circuit(original, prop.signals())
+    sim = BitParallelSimulator(reduced)
+    state = sim.initial_state(1, default=0)
+    target = [
+        (name, pack_value(value, 1)) for name, value in prop.target.items()
+    ]
     for cycle in range(trace.length):
-        vector = {name: 0 for name in original.inputs}
-        vector.update(
-            {
-                name: value
-                for name, value in trace.inputs[cycle].items()
-                if original.is_input(name)
-            }
-        )
-        states.append(dict(state))
-        inputs.append(vector)
-        values, state = sim.step(state, vector)
-        if prop.holds_in_state(values):
-            return Trace(states=states, inputs=inputs,
-                         circuit_name=original.name)
+        if all(state[name] == planes for name, planes in target):
+            cubes = trace.inputs[: cycle + 1]
+            return _lift_trace(
+                original,
+                reduced,
+                Trace(states=[{}] * len(cubes), inputs=cubes),
+            )
+        cube = trace.inputs[cycle]
+        vector = {
+            name: pack_value(cube.get(name, 0), 1) for name in reduced.inputs
+        }
+        _, state = sim.step(state, vector, 1)
     return None
 
 

@@ -66,9 +66,15 @@ class HybridTraceEngine:
     budget: Optional[Budget] = None
     #: route ATPG justification through the pooled incremental solver
     incremental: bool = True
+    #: the min-cut of the previous, smaller abstract model, whose flow
+    #: network this engine takes over (see :func:`min_cut_design`)
+    previous_mincut: Optional[MinCutResult] = None
 
     def __post_init__(self) -> None:
-        self.mincut: MinCutResult = min_cut_design(self.model)
+        self.mincut: MinCutResult = min_cut_design(
+            self.model, previous=self.previous_mincut
+        )
+        self.previous_mincut = None
         self.mc_encoding = SymbolicEncoding(
             self.mincut.circuit, bdd=self.encoding.bdd
         )

@@ -14,7 +14,9 @@ Step 3), or a resource limit is exceeded:
    sequential-ATPG minimization) to pick the refinement registers.
 
 The BDD variable order found by dynamic reordering in one iteration seeds
-the next iteration's manager (Section 2.2, last paragraph).
+the next iteration's manager (Section 2.2, last paragraph), and since the
+abstract model only grows, the next encoding copies every gate function
+the two models share from the previous one and builds only the new gates.
 
 Resilience (see :mod:`repro.runtime`): every step runs under the
 portfolio supervisor.  A step that exhausts its budget is retried with a
@@ -49,6 +51,7 @@ from repro.mc.bmc import BmcOutcome, BmcResult, bmc
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
 from repro.mc.reach import DEFAULT_MAX_NODES, ReachOutcome, forward_reach
+from repro.mincut import MinCutResult
 from repro.netlist.circuit import Circuit
 from repro.obs import tracer as obs
 from repro.runtime.abort import ABORT_BY_RESOURCE, DepthOut, EngineAbort
@@ -203,6 +206,11 @@ class RFN:
         self.config = config or RfnConfig()
         self.abstraction = Abstraction.initial(circuit, prop)
         self._saved_order: Optional[List[str]] = None
+        # The previous iteration's abstract-model encoding: the next one
+        # copies the gate functions both models share from it.
+        self._seed_encoding: Optional[SymbolicEncoding] = None
+        # The latest min-cut, whose flow network the next one grows.
+        self._mincut: Optional[MinCutResult] = None
         self.supervisor = Supervisor(
             budget=self.config.budget,
             chaos=self.config.chaos,
@@ -444,7 +452,14 @@ class RFN:
                     f"{abstract_trace.length}"
                 )
             else:
-                encoding = SymbolicEncoding(model, var_order=self._saved_order)
+                encoding = SymbolicEncoding(
+                    model,
+                    var_order=self._saved_order,
+                    seed=self._seed_encoding,
+                )
+                # The previous manager is needed only for seeding: drop
+                # its last holders so it is freed before Step 2 runs.
+                self._seed_encoding = reach = images = target = None
                 encoding.bdd.auto_reorder = config.auto_reorder
                 images = ImageComputer(encoding)
                 target = encoding.state_cube(dict(self.prop.target))
@@ -592,7 +607,9 @@ class RFN:
                             max_cube_tries=int(256 * scale),
                             budget=budget,
                             incremental=config.incremental,
+                            previous_mincut=self._mincut,
                         )
+                        self._mincut = hybrid.mincut
                         self._hybrid_stats = hybrid.stats
                         try:
                             return hybrid.build_trace(reach, target)
@@ -663,6 +680,7 @@ class RFN:
             record.abstract_trace_length = abstract_trace.length
             if config.reuse_variable_order and encoding is not None:
                 self._saved_order = encoding.saved_order()
+                self._seed_encoding = encoding
 
             # Step 3: guided search on the original design.
             if config.enable_guided_search:

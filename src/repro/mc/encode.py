@@ -73,14 +73,23 @@ class SymbolicEncoding:
         bdd: Optional[BDD] = None,
         var_order: Optional[Sequence[str]] = None,
         extra_roots: Iterable[str] = (),
+        seed: Optional["SymbolicEncoding"] = None,
     ) -> None:
+        """``seed`` is an encoding of an earlier, smaller model of the
+        same design (the previous CEGAR iteration's): every gate function
+        the two models share is copied from it instead of rebuilt.  The
+        copy is node-for-node when ``var_order`` is the seed's saved
+        order, since the new variables then only extend it."""
         self.circuit = circuit
         self.bdd = bdd or BDD()
         self.current_vars: List[str] = []
         self.next_vars: List[str] = []
         self.input_vars: List[str] = []
         self._functions: Dict[str, Function] = {}
-        with obs.span("mc.encode", registers=len(circuit.registers)):
+        #: gate functions copied from ``seed`` / built with apply ops
+        self.copied = 0
+        self.built = 0
+        with obs.span("mc.encode", registers=len(circuit.registers)) as phase:
             order = self._resolve_order(var_order, extra_roots)
             for name in order:
                 if circuit.is_register_output(name):
@@ -92,7 +101,8 @@ class SymbolicEncoding:
                 else:
                     self.bdd.declare(name)
                     self.input_vars.append(name)
-            self._build_functions()
+            self._build_functions(seed)
+            phase.set(copied=self.copied, built=self.built)
 
     def _resolve_order(
         self,
@@ -119,15 +129,47 @@ class SymbolicEncoding:
         kept_set = set(kept)
         return kept + [name for name in natural if name not in kept_set]
 
-    def _build_functions(self) -> None:
+    def _build_functions(self, seed: Optional["SymbolicEncoding"]) -> None:
         bdd = self.bdd
+        functions = self._functions
         for name in self.circuit.inputs:
-            self._functions[name] = bdd.var(name)
+            functions[name] = bdd.var(name)
         for name in self.circuit.registers:
-            self._functions[name] = bdd.var(name)
+            functions[name] = bdd.var(name)
+        shared = set() if seed is None else self._shared_gates(seed.circuit)
+        copy = bdd.transferrer(seed.bdd) if shared else None
         for gate in self.circuit.topo_gates():
-            inputs = [self._functions[s] for s in gate.inputs]
-            self._functions[gate.output] = self._eval_gate(gate.op, inputs)
+            if gate.output in shared:
+                functions[gate.output] = copy(seed._functions[gate.output])
+                self.copied += 1
+            else:
+                inputs = [functions[s] for s in gate.inputs]
+                functions[gate.output] = self._eval_gate(gate.op, inputs)
+                self.built += 1
+
+    def _shared_gates(self, old: Circuit) -> Set[str]:
+        """Gates whose whole fan-in cone is the same in ``old``: same op
+        and inputs, down to leaves that are inputs or registers in both
+        models -- so their functions over the same variables agree."""
+        circuit = self.circuit
+        shared: Set[str] = set()
+        for gate in circuit.topo_gates():
+            before = old.gates.get(gate.output)
+            if (
+                before is not None
+                and before.op is gate.op
+                and before.inputs == gate.inputs
+                and all(
+                    name in shared
+                    or not (
+                        circuit.is_gate_output(name)
+                        or old.is_gate_output(name)
+                    )
+                    for name in gate.inputs
+                )
+            ):
+                shared.add(gate.output)
+        return shared
 
     def _eval_gate(self, op: GateOp, inputs: List[Function]) -> Function:
         bdd = self.bdd

@@ -5,6 +5,8 @@
 - an RFN per-iteration table (iteration, winning engine, per-step
   outcome, wall time, refinement size) built from ``rfn.iteration``
   spans and their nested ``step.*`` / ``portfolio.*`` children;
+- what the CEGAR iterations carried over instead of rebuilding
+  (``mc.encode``, ``mincut`` and ``sat.session`` spans);
 - a fuzz campaign rollup (instances, mismatches, resource-outs, shard
   lanes) from ``fuzz.*`` spans;
 - a counters summary from the final metrics snapshot;
@@ -84,6 +86,45 @@ def _rfn_section(records: List[dict]) -> List[str]:
             ["iter", "engine", "status", "time", "refined", "steps"], rows
         )
     )
+    return lines
+
+
+def _incremental_section(records: List[dict]) -> List[str]:
+    """What each CEGAR iteration rebuilt and what it carried over: BDD
+    gate functions copied versus built (``mc.encode``), min-cut networks
+    grown versus built cold (``mincut``), and SAT session builds
+    (``sat.session``)."""
+    encodes = _spans(records, "mc.encode")
+    cuts = _spans(records, "mincut")
+    sessions = _spans(records, "sat.session")
+    if not encodes and not cuts and not sessions:
+        return []
+
+    def total(spans: List[dict], key: str) -> int:
+        return sum((s.get("attrs") or {}).get(key, 0) for s in spans)
+
+    def seconds(spans: List[dict]) -> str:
+        return f"{sum(s.get('dur', 0.0) for s in spans):.3f}s"
+
+    lines = ["Incremental CEGAR", ""]
+    if encodes:
+        lines.append(
+            f"  mc.encode: {len(encodes)} encodings, {seconds(encodes)}, "
+            f"gates copied={total(encodes, 'copied')} "
+            f"built={total(encodes, 'built')}"
+        )
+    if cuts:
+        reused = sum(1 for s in cuts if (s.get("attrs") or {}).get("reused"))
+        lines.append(
+            f"  mincut: {len(cuts)} cuts, {seconds(cuts)}, "
+            f"network reused={reused} cold={len(cuts) - reused}, "
+            f"cut inputs={total(cuts, 'cut_inputs')}"
+        )
+    if sessions:
+        lines.append(
+            f"  sat.session: {len(sessions)} builds, {seconds(sessions)}, "
+            f"clauses={total(sessions, 'clauses')}"
+        )
     return lines
 
 
@@ -267,6 +308,7 @@ def render_report(records: List[dict]) -> str:
         section
         for section in (
             _rfn_section(records),
+            _incremental_section(records),
             _fuzz_section(records),
             _serve_section(records),
             _lanes_section(records),

@@ -117,18 +117,28 @@ class Solver:
     # ------------------------------------------------------------------
 
     def new_var(self) -> int:
-        self._nvars += 1
-        self._value.append(UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._phase.append(0)
-        self._activity.append(0.0)
-        heapq.heappush(self._order, (0.0, self._nvars))
+        self._grow(self._nvars + 1)
         return self._nvars
 
     def _ensure_var(self, var: int) -> None:
-        while self._nvars < var:
-            self.new_var()
+        if var > self._nvars:
+            self._grow(var)
+
+    def _grow(self, nvars: int) -> None:
+        """Extend every per-variable array to ``nvars`` in one step.  The
+        new heap entries ``(0.0, var)`` sort after every existing entry
+        (activities are non-negative, variables increase), so appending
+        them in order keeps the heap exactly as one push per variable
+        would leave it."""
+        extra = nvars - self._nvars
+        first = self._nvars + 1
+        self._nvars = nvars
+        self._value.extend([UNASSIGNED] * extra)
+        self._level.extend([0] * extra)
+        self._reason.extend([None] * extra)
+        self._phase.extend([0] * extra)
+        self._activity.extend([0.0] * extra)
+        self._order.extend((0.0, var) for var in range(first, nvars + 1))
 
     # ------------------------------------------------------------------
     # Incremental growth: attached CNF sync and activation-literal groups
@@ -146,17 +156,42 @@ class Solver:
     def absorb(self) -> int:
         """Add every clause of the attached CNF not yet in the solver;
         returns how many were absorbed.  Clauses land in the innermost
-        open activation group, if any."""
+        open activation group, if any.
+
+        The attached CNF's clauses are clean -- :meth:`CNF.add_clause`
+        deduplicates and drops tautologies, and frame templates were
+        built through it -- so a clause of two or more literals, none of
+        them assigned at level 0, is watched as it stands.  Any other
+        clause, and every clause while a push group is open, goes
+        through :meth:`add_clause`, which gives the same result."""
         cnf = self._attached
         if cnf is None:
             raise RuntimeError("no CNF attached (call attach first)")
         start = self._absorbed
-        self._absorbed = len(cnf.clauses)
-        while self._nvars < cnf.num_vars:
-            self.new_var()
-        for clause in cnf.clauses_since(start):
+        clauses = cnf.clauses_since(start)
+        self._absorbed = start + len(clauses)
+        self._ensure_var(cnf.num_vars)
+        lean = not self._groups and not self._trail_lim
+        value = self._value
+        problem = self._clauses
+        watches = self._watches
+        for clause in clauses:
             if self._unsat:
                 break
+            if lean and len(clause) >= 2:
+                for lit in clause:
+                    if value[lit if lit > 0 else -lit] != UNASSIGNED:
+                        break
+                else:
+                    entry = _Clause(list(clause))
+                    problem.append(entry)
+                    for lit in (clause[0], clause[1]):
+                        watchers = watches.get(lit)
+                        if watchers is None:
+                            watches[lit] = [entry]
+                        else:
+                            watchers.append(entry)
+                    continue
             self.add_clause(clause)
         return self._absorbed - start
 
@@ -298,47 +333,81 @@ class Solver:
         return True
 
     def _propagate(self) -> Optional[_Clause]:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            false_lit = -lit
-            watchers = self._watches.get(false_lit)
+        # The hot loop: it reads literal values straight from ``_value``
+        # (what ``_lit_value`` computes) and assigns as ``_enqueue``
+        # does, without a call per literal.
+        value = self._value
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        watches = self._watches
+        decision_level = len(self._trail_lim)
+        qhead = self._qhead
+        propagated = 0
+        conflict: Optional[_Clause] = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            propagated += 1
+            watchers = watches.get(false_lit)
             if not watchers:
                 continue
             kept: List[_Clause] = []
-            conflict: Optional[_Clause] = None
             index = 0
-            while index < len(watchers):
+            count = len(watchers)
+            while index < count:
                 clause = watchers[index]
                 index += 1
                 lits = clause.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_value(first) == 1:
-                    kept.append(clause)
-                    continue
-                moved = False
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if first > 0:
+                    first_value = value[first]
+                    if first_value == 1:
+                        kept.append(clause)
+                        continue
+                    first_false = first_value == 0
+                else:
+                    first_value = value[-first]
+                    if first_value == 0:
+                        kept.append(clause)
+                        continue
+                    first_false = first_value == 1
                 for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches.setdefault(lits[1], []).append(clause)
-                        moved = True
+                    other = lits[k]
+                    if (
+                        value[other] != 0 if other > 0
+                        else value[-other] != 1
+                    ):
+                        lits[1] = other
+                        lits[k] = false_lit
+                        moved_to = watches.get(other)
+                        if moved_to is None:
+                            watches[other] = [clause]
+                        else:
+                            moved_to.append(clause)
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                kept.append(clause)
-                if self._lit_value(first) == 0:
-                    conflict = clause
-                    kept.extend(watchers[index:])
-                    break
-                self._enqueue(first, clause)
-            self._watches[false_lit] = kept
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(clause)
+                    if first_false:
+                        conflict = clause
+                        kept.extend(watchers[index:])
+                        break
+                    var = first if first > 0 else -first
+                    value[var] = 1 if first > 0 else 0
+                    level[var] = decision_level
+                    reason[var] = clause
+                    trail.append(first)
+            watches[false_lit] = kept
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._qhead = qhead
+        self.propagations += propagated
+        return conflict
 
     def _backtrack(self, target_level: int) -> None:
         if self._decision_level <= target_level:

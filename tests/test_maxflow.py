@@ -106,3 +106,62 @@ class TestRandomizedAgainstBruteForce:
         # maximal (no augmenting path remains).
         side = net.reachable_in_residual(0)
         assert 7 not in side
+
+
+class TestGrowingUnderAFlow:
+    """``withdraw`` and ``add_capacity`` change a network that already
+    carries a maximum flow; augmenting then must give the cold network's
+    flow value and the same residual source side (the source side is
+    the same for every maximum flow)."""
+
+    @staticmethod
+    def _dag(rng, n=8):
+        return [
+            (u, v, rng.choice([1, 1, 2, 3, INF]))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.45
+        ]
+
+    @staticmethod
+    def _network(n, edges):
+        net = FlowNetwork()
+        for _ in range(n):
+            net.add_node()
+        return net, [net.add_arc(u, v, cap) for u, v, cap in edges]
+
+    def test_withdraw_matches_cold(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = 8
+            edges = self._dag(rng, n)
+            gone = rng.randrange(1, n - 1)
+            warm, _ = self._network(n, edges)
+            warm.augment(0, n - 1)
+            warm.withdraw(gone)
+            added = warm.augment(0, n - 1)
+            cold, _ = self._network(
+                n, [e for e in edges if gone not in e[:2]]
+            )
+            value = cold.augment(0, n - 1)
+            assert added <= value
+            assert warm.residual_reach(0) == cold.residual_reach(0)
+
+    def test_add_capacity_matches_cold(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = 8
+            edges = self._dag(rng, n)
+            if not edges:
+                continue
+            warm, arcs = self._network(n, edges)
+            before = warm.augment(0, n - 1)
+            k = rng.randrange(len(edges))
+            warm.add_capacity(arcs[k], 2)
+            after = before + warm.augment(0, n - 1)
+            u, v, cap = edges[k]
+            cold, _ = self._network(
+                n, edges[:k] + [(u, v, cap + 2)] + edges[k + 1:]
+            )
+            assert after == cold.augment(0, n - 1)
+            assert warm.residual_reach(0) == cold.residual_reach(0)
