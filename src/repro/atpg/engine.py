@@ -3,8 +3,9 @@
 Both engines answer the paper's three-way query (trace found / cubes
 unsatisfiable / resources exceeded) by encoding the time-frame-expanded
 circuit into CNF and running the budgeted CDCL solver.  Sequential results
-are cross-checked against the levelized simulator before being returned,
-so an encoder bug can never masquerade as a verification result.
+are cross-checked against the bit-parallel kernel before being returned
+(every cycle of the trace settled in one sweep, one lane per cycle), so
+an encoder bug can never masquerade as a verification result.
 
 By default both engines run *incrementally*: the unrolling and solver
 come from the :func:`repro.kernel.scache.solver_session` pool, target and
@@ -17,9 +18,9 @@ fresh-solver-per-call behavior.
 Sequential ATPG can also answer on an abstract model *inside* the given
 circuit: ``active`` names the registers that keep their next-state
 function, and the session's activation literals free the rest (see
-:mod:`repro.atpg.encode`).  The simulator cross-check then drives the
-inactive registers from the decoded trace, cycle by cycle, and holds
-the active ones to simulation and to their initial values.
+:mod:`repro.atpg.encode`).  The cross-check then takes the inactive
+registers from the decoded trace and holds the active ones to their
+next-state functions and initial values.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.atpg.encode import Unroller
+from repro.kernel.bitsim import BitParallelSimulator, planes_value
 from repro.kernel.perf import PERF
 from repro.kernel.scache import solver_session
 from repro.obs import tracer as obs
@@ -36,7 +38,6 @@ from repro.trace import Trace
 from repro.netlist.circuit import Circuit
 from repro.runtime.budget import Limits
 from repro.sat.solver import SatStatus, Solver
-from repro.sim.simulator import Simulator
 
 
 class AtpgOutcome(enum.Enum):
@@ -71,6 +72,9 @@ class AtpgResult:
     assignment: Optional[Dict[str, int]] = None
     conflicts: int = 0
     decisions: int = 0
+    #: The cross-checked trace's kernel valuation (sequential ATPG with
+    #: ``verify``), reusable to test the trace against further queries.
+    valuation: Optional[TraceValuation] = None
 
     @property
     def found(self) -> bool:
@@ -219,11 +223,12 @@ def _sequential_atpg(
             unroller.decode_state(result.model, cycle),
             unroller.decode_inputs(result.model, cycle),
         )
+    valuation = None
     if verify:
         initial = Unroller.initial_values(
             circuit, use_initial_state, initial_state
         )
-        _check_trace(
+        valuation = _check_trace(
             circuit, trace, cube_map, skip_missing, active, initial
         )
     return AtpgResult(
@@ -231,6 +236,7 @@ def _sequential_atpg(
         trace=trace,
         conflicts=result.conflicts,
         decisions=result.decisions,
+        valuation=valuation,
     )
 
 
@@ -312,6 +318,94 @@ def _combinational_atpg(
     )
 
 
+class TraceValuation:
+    """A trace settled in one kernel sweep: lane ``t`` of every signal
+    is its value at cycle ``t``, with each register -- active or free --
+    at the trace's value.  The trace names every register at every
+    cycle (decoded traces do)."""
+
+    def __init__(self, circuit: Circuit, trace: Trace) -> None:
+        sim = BitParallelSimulator(circuit)
+        self.trace = trace
+        self.frame = sim.evaluate_lanes(trace.states, trace.inputs)
+        cc = sim.compiled
+        self._index = cc.index
+        self._data = {
+            cc.names[r]: d
+            for r, d in zip(cc.register_indices, cc.register_data)
+        }
+
+    def mismatch(
+        self,
+        cube_map: Mapping[int, Mapping[str, int]],
+        active: Optional[Iterable[str]] = None,
+        initial: Optional[Mapping[str, int]] = None,
+        skip_missing: bool = False,
+    ) -> Optional[str]:
+        """Why the trace is no run of the model ``active`` selects
+        (``None`` -- all registers) from ``initial`` that meets
+        ``cube_map``: the earliest failure, described, or ``None`` when
+        it is one.  Per cycle the register states are checked before the
+        cube, as a step-by-step simulation would meet them."""
+        states = self.trace.states
+        for name, expected in (initial or {}).items():
+            if (active is None or name in active) and (
+                states[0][name] != expected
+            ):
+                return (
+                    f"trace/initial-state mismatch for {name!r}: trace "
+                    f"{states[0][name]}, initial value {expected}"
+                )
+        f0 = self.frame.f0
+        f1 = self.frame.f1
+        lanes = self.frame.lanes
+        index = self._index
+        data = self._data
+        # Lane t + 1 of each active register against lane t of its data
+        # input: every transition of the trace in two plane compares.
+        low = (1 << (lanes - 1)) - 1
+        wrong: Dict[str, int] = {}
+        for name in data if active is None else active:
+            r = index[name]
+            d = data[name]
+            bad = (((f0[r] >> 1) ^ f0[d]) | ((f1[r] >> 1) ^ f1[d])) & low
+            if bad:
+                wrong[name] = bad
+        state_cycle = min(
+            ((bad & -bad).bit_length() for bad in wrong.values()),
+            default=lanes,
+        )
+        for cycle in range(state_cycle):
+            for name, expected in cube_map.get(cycle, {}).items():
+                i = index.get(name)
+                if i is None:
+                    if skip_missing:
+                        continue
+                    raise KeyError(
+                        f"cube signal {name!r} not in the trace's circuit"
+                    )
+                actual = planes_value((f0[i], f1[i]), cycle)
+                if actual != expected:
+                    return (
+                        f"cube/simulation mismatch for {name!r} at cycle "
+                        f"{cycle}: cube {expected}, simulated {actual}"
+                    )
+        if state_cycle == lanes:
+            return None
+        bit = 1 << (state_cycle - 1)
+        name, expected = next(
+            (name, value)
+            for name, value in states[state_cycle].items()
+            if wrong.get(name, 0) & bit
+        )
+        d = data[name]
+        actual = planes_value((f0[d], f1[d]), state_cycle - 1)
+        return (
+            f"trace/simulation mismatch for state {name!r} at cycle "
+            f"{state_cycle}: trace {expected}, simulated {actual}"
+        )
+
+
 def _check_trace(
     circuit: Circuit,
     trace: Trace,
@@ -319,46 +413,20 @@ def _check_trace(
     skip_missing: bool,
     active: Optional[Iterable[str]] = None,
     initial: Optional[Mapping[str, int]] = None,
-) -> None:
-    """Simulate the extracted trace and assert every cube holds.
+) -> TraceValuation:
+    """Settle the extracted trace on the kernel and assert it is a run of
+    the queried model meeting every cube; returns the valuation.
 
     Registers outside ``active`` (``None`` -- all registers are active)
-    are pseudo-inputs of the queried model, so each cycle drives them
-    from the trace; active registers must match their ``initial`` values
-    at cycle 0 and the simulated next state after that.
+    are pseudo-inputs of the queried model and take their trace values;
+    active registers must match their ``initial`` values at cycle 0 and
+    their next-state functions after that.
 
     This is an internal consistency check between the CNF encoding and the
     simulator; a failure indicates a bug, not an analysis result.
     """
-    sim = Simulator(circuit)
-    free = (
-        []
-        if active is None
-        else [name for name in circuit.registers if name not in active]
-    )
-    state = dict(trace.states[0])
-    for name, expected in (initial or {}).items():
-        if (active is None or name in active) and state[name] != expected:
-            raise AssertionError(
-                f"trace/initial-state mismatch for {name!r}: trace "
-                f"{state[name]}, initial value {expected}"
-            )
-    for cycle in range(trace.length):
-        decoded = trace.states[cycle]
-        state.update({name: decoded[name] for name in free})
-        values, next_state = sim.step(state, trace.inputs[cycle])
-        for name, expected in decoded.items():
-            if values[name] != expected:
-                raise AssertionError(
-                    f"trace/simulation mismatch for state {name!r} at cycle "
-                    f"{cycle}: trace {expected}, simulated {values[name]}"
-                )
-        for name, expected in cube_map.get(cycle, {}).items():
-            if skip_missing and name not in values:
-                continue
-            if values[name] != expected:
-                raise AssertionError(
-                    f"cube/simulation mismatch for {name!r} at cycle "
-                    f"{cycle}: cube {expected}, simulated {values[name]}"
-                )
-        state = next_state
+    valuation = TraceValuation(circuit, trace)
+    problem = valuation.mismatch(cube_map, active, initial, skip_missing)
+    if problem is not None:
+        raise AssertionError(problem)
+    return valuation

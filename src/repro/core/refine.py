@@ -23,6 +23,13 @@ property's cone-of-influence circuit: the candidate register set is the
 query's *active* set (:mod:`repro.atpg.encode`), so no probe extracts a
 subcircuit or builds a solver.  Probe answers are satisfiability facts
 about the candidate model, the same on either path.
+
+Within one minimisation the shared path keeps the last satisfying trace
+as a :class:`Witness`.  A probe that the witness already satisfies --
+initial values and transitions of every active register, every cube
+literal -- is answered ``TRACE_FOUND`` without a solve: the unrolling
+is total and inactive registers are free, so the witness extends to a
+model of that probe.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.atpg.engine import AtpgOutcome, sequential_atpg
+from repro.atpg.encode import Unroller
+from repro.atpg.engine import AtpgOutcome, TraceValuation, sequential_atpg
 from repro.core.abstraction import Abstraction
 from repro.kernel.bitsim import BitParallelSimulator, pack_value, planes_value
 from repro.kernel.perf import PERF
@@ -38,6 +46,7 @@ from repro.kernel.scache import coi_circuit
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
 from repro.netlist.ops import subcircuit_signals
+from repro.obs import tracer as obs
 from repro.runtime.budget import Limits
 from repro.sim.logic3 import X
 
@@ -46,7 +55,10 @@ from repro.sim.logic3 import X
 class RefinementStats:
     candidates: int = 0
     selected: int = 0
+    #: phase-2 probes solved by sequential ATPG
     atpg_calls: int = 0
+    #: phase-2 probes answered by the previous probe's witness
+    answered: int = 0
     conflicts_found: bool = True
     minimized: bool = False
 
@@ -137,12 +149,34 @@ def crucial_register_candidates(
     return RefinementResult(registers=candidates, stats=stats)
 
 
+class Witness:
+    """The last satisfying trace of one phase-2 minimisation on a
+    cone-of-influence circuit, as its kernel valuation."""
+
+    def __init__(self, circuit: Circuit) -> None:
+        self.initial = Unroller.initial_values(circuit)
+        self.valuation: Optional[TraceValuation] = None
+        self.answered = 0
+
+    def satisfies(
+        self, cubes: Dict[int, Dict[str, int]], active: Iterable[str]
+    ) -> bool:
+        """Does the witness meet the probe of ``cubes`` on the model
+        whose kept registers are ``active``: initial values and
+        transitions of every active register, and every cube literal?"""
+        return self.valuation is not None and (
+            self.valuation.mismatch(cubes, active, self.initial) is None
+        )
+
+
 def trace_satisfiable_on(
     model: Circuit,
     trace: Trace,
     limits: Optional[Limits] = None,
     incremental: bool = True,
     active: Optional[Iterable[str]] = None,
+    *,
+    witness: Optional[Witness] = None,
 ) -> AtpgOutcome:
     """Is the error trace (as per-cycle constraint cubes) satisfiable on a
     candidate abstract model?  Three-way ATPG answer.
@@ -150,7 +184,10 @@ def trace_satisfiable_on(
     The candidate is ``model`` itself, or -- given ``active`` -- the
     abstract model of ``model`` that keeps the ``active`` registers,
     ``model`` being a cone-of-influence circuit (its outputs are the
-    property signals).  The cubes keep only that model's signals."""
+    property signals).  The cubes keep only that model's signals.
+
+    A ``witness`` (with ``active``) answers the probe when it satisfies
+    it, and takes over the trace of every satisfiable solve."""
     if active is None:
         defined = model.is_defined
     else:
@@ -164,6 +201,9 @@ def trace_satisfiable_on(
         }
         for cycle in range(trace.length)
     }
+    if witness is not None and witness.satisfies(cubes, active):
+        witness.answered += 1
+        return AtpgOutcome.TRACE_FOUND
     result = sequential_atpg(
         model,
         trace.length,
@@ -173,6 +213,8 @@ def trace_satisfiable_on(
         incremental=incremental,
         active=active,
     )
+    if witness is not None and result.found:
+        witness.valuation = result.valuation
     return result.outcome
 
 
@@ -186,9 +228,33 @@ def minimize_candidates(
     """Phase 2: the greedy add-until-unsatisfiable / try-remove loop.
 
     With ``incremental`` every probe runs on the one pooled session over
-    the property's COI circuit, the candidate set as its active set;
-    otherwise each probe extracts its candidate model and solves it
-    with a fresh solver (the reference path)."""
+    the property's COI circuit, the candidate set as its active set, and
+    the previous probe's witness answers what it can; otherwise each
+    probe extracts its candidate model and solves it with a fresh
+    solver (the reference path)."""
+    with obs.span(
+        "refine.phase2", candidates=len(candidates)
+    ) as span:
+        result = _minimize(
+            abstraction, trace, candidates, limits, incremental
+        )
+        stats = result.stats
+        span.set(
+            probes=stats.atpg_calls + stats.answered,
+            solved=stats.atpg_calls,
+            answered=stats.answered,
+            kept=len(result.registers),
+        )
+        return result
+
+
+def _minimize(
+    abstraction: Abstraction,
+    trace: Trace,
+    candidates: Sequence[str],
+    limits: Optional[Limits],
+    incremental: bool,
+) -> RefinementResult:
     stats = RefinementStats(candidates=len(candidates), minimized=True)
     coi = (
         coi_circuit(abstraction.original, abstraction.prop.signals())
@@ -198,16 +264,24 @@ def minimize_candidates(
     shared = coi is not None and abstraction.kept_registers.union(
         candidates
     ).issubset(coi.registers)
+    witness = Witness(coi) if shared else None
 
     def probe(registers: List[str]) -> AtpgOutcome:
-        stats.atpg_calls += 1
-        if shared:
-            return trace_satisfiable_on(
-                coi, trace, limits, incremental,
-                active=abstraction.kept_registers.union(registers),
-            )
-        model = abstraction.with_registers(registers)
-        return trace_satisfiable_on(model, trace, limits, incremental)
+        if not shared:
+            stats.atpg_calls += 1
+            model = abstraction.with_registers(registers)
+            return trace_satisfiable_on(model, trace, limits, incremental)
+        answered = witness.answered
+        outcome = trace_satisfiable_on(
+            coi, trace, limits, incremental,
+            active=abstraction.kept_registers.union(registers),
+            witness=witness,
+        )
+        if witness.answered > answered:
+            stats.answered += 1
+        else:
+            stats.atpg_calls += 1
+        return outcome
 
     added: List[str] = []
     unsatisfiable = False

@@ -365,6 +365,20 @@ class BitParallelSimulator:
 
     # -- name-level conveniences ---------------------------------------
 
+    def evaluate_lanes(
+        self,
+        states: Sequence[Mapping[str, int]],
+        inputs: Sequence[Mapping[str, int]],
+    ) -> Frame:
+        """One settle in which lane ``k`` evaluates ``states[k]`` and
+        ``inputs[k]`` -- every cycle of a trace at once, lane = cycle."""
+        if len(states) != len(inputs):
+            raise ValueError("states and inputs must pair up lane by lane")
+        packed_inputs, masks = pack_lanes_masked(inputs)
+        return self.evaluate(
+            pack_lanes(states), packed_inputs, len(states), input_masks=masks
+        )
+
     def evaluate_cubes(
         self,
         states: Sequence[Mapping[str, int]],
@@ -372,11 +386,5 @@ class BitParallelSimulator:
     ) -> List[Dict[str, int]]:
         """Batch counterpart of ``Simulator.evaluate``: lane ``k`` settles
         ``states[k]``/``inputs[k]``; returns one full valuation per lane."""
-        if len(states) != len(inputs):
-            raise ValueError("states and inputs must pair up lane by lane")
-        lanes = len(states)
-        packed_inputs, masks = pack_lanes_masked(inputs)
-        frame = self.evaluate(
-            pack_lanes(states), packed_inputs, lanes, input_masks=masks
-        )
-        return [frame.lane_valuation(lane) for lane in range(lanes)]
+        frame = self.evaluate_lanes(states, inputs)
+        return [frame.lane_valuation(lane) for lane in range(frame.lanes)]

@@ -92,12 +92,14 @@ def _rfn_section(records: List[dict]) -> List[str]:
 def _incremental_section(records: List[dict]) -> List[str]:
     """What each CEGAR iteration rebuilt and what it carried over: BDD
     gate functions copied versus built (``mc.encode``), min-cut networks
-    grown versus built cold (``mincut``), and SAT session builds
-    (``sat.session``)."""
+    grown versus built cold (``mincut``), SAT session builds
+    (``sat.session``), and refinement probes solved versus answered
+    from the previous probe's witness (``refine.phase2``)."""
     encodes = _spans(records, "mc.encode")
     cuts = _spans(records, "mincut")
     sessions = _spans(records, "sat.session")
-    if not encodes and not cuts and not sessions:
+    phase2 = _spans(records, "refine.phase2")
+    if not encodes and not cuts and not sessions and not phase2:
         return []
 
     def total(spans: List[dict], key: str) -> int:
@@ -124,6 +126,13 @@ def _incremental_section(records: List[dict]) -> List[str]:
         lines.append(
             f"  sat.session: {len(sessions)} builds, {seconds(sessions)}, "
             f"clauses={total(sessions, 'clauses')}"
+        )
+    if phase2:
+        lines.append(
+            f"  refine.phase2: {len(phase2)} minimisations, "
+            f"{seconds(phase2)}, probes={total(phase2, 'probes')} "
+            f"solved={total(phase2, 'solved')} "
+            f"answered={total(phase2, 'answered')}"
         )
     return lines
 

@@ -147,6 +147,19 @@ def sat_counter():
     return saturating_counter()
 
 
+@pytest.fixture
+def traced():
+    """The process tracer, enabled for one test (records in its ring)."""
+    from repro.obs.tracer import TRACER
+
+    TRACER.close()
+    TRACER.drain()
+    TRACER.enable()
+    yield TRACER
+    TRACER.close()
+    TRACER.drain()
+
+
 # --------------------------------------------------------------------
 # Cross-engine agreement
 # --------------------------------------------------------------------

@@ -156,7 +156,7 @@ class TestPhase2Minimization:
             refine_mod,
             "trace_satisfiable_on",
             lambda model, trace, limits=None, incremental=True,
-            active=None: AtpgOutcome.ABORTED,
+            active=None, witness=None: AtpgOutcome.ABORTED,
         )
         result = refine_mod.minimize_candidates(
             abstraction, trace, ["r1", "r4"]

@@ -28,7 +28,6 @@ from repro.mincut import free_cut_gates, min_cut_design
 from repro.netlist import Circuit
 from repro.netlist.cell import GateOp
 from repro.netlist.ops import combinational_cone, extract_subcircuit
-from repro.obs.tracer import TRACER
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 
@@ -321,16 +320,6 @@ def test_min_cut_size_is_minimum(seed):
 # ----------------------------------------------------------------------
 # Regression: RFN keeps seeding its encodings
 # ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def traced():
-    TRACER.close()
-    TRACER.drain()
-    TRACER.enable()
-    yield TRACER
-    TRACER.close()
-    TRACER.drain()
 
 
 def test_rfn_builds_only_new_gates(traced):

@@ -10,13 +10,17 @@ solver -- probe by probe:
   refinement steps of Table 1, in both polarities, across the add and
   removal passes of the greedy minimisation;
 - the simulator cross-check on partially active sessions, including a
-  deliberately dropped guard clause it must catch;
+  deliberately dropped guard clause it must catch, and its one-settle
+  kernel valuation against a cycle-by-cycle interpreted simulation;
+- the previous probe's witness, which answers a probe only when it
+  meets all of that probe's constraints;
 - budget aborts mid-solve, after which the shared session must answer
   as a fresh one would.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import islice, permutations
 
@@ -26,26 +30,36 @@ import repro.core.refine as refine_mod
 from repro.atpg.encode import Unroller
 from repro.atpg.engine import (
     AtpgOutcome,
+    TraceValuation,
     _check_trace,
     sequential_atpg,
 )
 from repro.core.abstraction import Abstraction
+from repro.core.coverage import CoverageAnalyzer, CoverageConfig
 from repro.core.refine import (
+    Witness,
     crucial_register_candidates,
     minimize_candidates,
     refine_from_trace,
     trace_satisfiable_on,
 )
 from repro.core.rfn import RFN, RfnConfig
-from repro.designs import table1_workloads
+from repro.designs import table1_workloads, table2_workloads
 from repro.engine import Verdict
 from repro.fuzz.gen import GenConfig, generate_instance
 from repro.kernel.scache import clear_caches, coi_circuit
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.netlist import Circuit
+from repro.netlist.transform import (
+    permute_gates,
+    permute_registers,
+    reorder_inputs,
+)
 from repro.runtime.abort import EngineAbort
 from repro.runtime.budget import Budget, Limits
+from repro.sim.simulator import Simulator
 from repro.trace import Trace
+from tests.conftest import buggy_counter
 
 SEEDS = list(range(25))
 
@@ -75,11 +89,18 @@ class ProbeAudit:
     def __init__(self, monkeypatch) -> None:
         self.abstraction = None
         self.runs = []
+        self.witnessed = 0  # answers the previous probe's witness gave
         real_probe = refine_mod.trace_satisfiable_on
         real_minimize = refine_mod.minimize_candidates
 
-        def probe(model, trace, limits=None, incremental=True, active=None):
-            answer = real_probe(model, trace, limits, incremental, active)
+        def probe(model, trace, limits=None, incremental=True, active=None,
+                  *, witness=None):
+            answered = witness.answered if witness is not None else 0
+            answer = real_probe(
+                model, trace, limits, incremental, active, witness=witness
+            )
+            if witness is not None and witness.answered > answered:
+                self.witnessed += 1
             if not incremental:
                 return answer  # the reference path itself
             assert active is not None, "probe left the shared session"
@@ -162,7 +183,7 @@ def test_fuzz_probes_match_reference(monkeypatch):
                 assert shared.registers == reference.registers, seed
     answers = audit.answers()
     assert steps >= 10
-    assert answers[AtpgOutcome.TRACE_FOUND] > 0
+    assert 0 < audit.witnessed < answers[AtpgOutcome.TRACE_FOUND]
     assert answers[AtpgOutcome.UNSATISFIABLE] > 0
     assert answers[AtpgOutcome.ABORTED] == 0
     assert audit.removal_passes() > 0
@@ -177,7 +198,7 @@ def test_table1_probes_match_reference(monkeypatch):
             Verdict.VERIFIED if workload.expected else Verdict.FALSIFIED
         )
     answers = audit.answers()
-    assert answers[AtpgOutcome.TRACE_FOUND] > 0
+    assert 0 < audit.witnessed < answers[AtpgOutcome.TRACE_FOUND]
     assert answers[AtpgOutcome.UNSATISFIABLE] > 0
     assert answers[AtpgOutcome.ABORTED] == 0
     assert audit.removal_passes() > 0
@@ -274,6 +295,217 @@ def test_cross_check_holds_active_registers_to_initial_values():
     _check_trace(c, trace, {}, False, active={"p"}, initial={"q": 0})
     with pytest.raises(AssertionError, match="initial"):
         _check_trace(c, trace, {}, False, active={"q"}, initial={"q": 0})
+
+
+def stepped_check(circuit, trace, cube_map, active=None, initial=None):
+    """The cross-check as a cycle-by-cycle interpreted simulation (free
+    registers driven from the trace): the first failure, or None."""
+    sim = Simulator(circuit)
+    free = [n for n in circuit.registers if active is not None
+            and n not in active]
+    state = dict(trace.states[0])
+    for name, expected in (initial or {}).items():
+        if (active is None or name in active) and state[name] != expected:
+            return (f"trace/initial-state mismatch for {name!r}: trace "
+                    f"{state[name]}, initial value {expected}")
+    for cycle in range(trace.length):
+        decoded = trace.states[cycle]
+        state.update({name: decoded[name] for name in free})
+        values, next_state = sim.step(state, trace.inputs[cycle])
+        for name, expected in decoded.items():
+            if values[name] != expected:
+                return (f"trace/simulation mismatch for state {name!r} at "
+                        f"cycle {cycle}: trace {expected}, simulated "
+                        f"{values[name]}")
+        for name, expected in cube_map.get(cycle, {}).items():
+            if name in values and values[name] != expected:
+                return (f"cube/simulation mismatch for {name!r} at cycle "
+                        f"{cycle}: cube {expected}, simulated {values[name]}")
+        state = next_state
+    return None
+
+
+def flipped(trace, *bits):
+    """A copy of ``trace`` with the (cycle, register) state bits flipped."""
+    states = [dict(cube) for cube in trace.states]
+    for cycle, name in bits:
+        states[cycle][name] ^= 1
+    return Trace(states=states, inputs=[dict(c) for c in trace.inputs],
+                 circuit_name=trace.circuit_name)
+
+
+def test_cross_check_catches_each_corruption():
+    """A 4-bit counter's run 0, 1, ..., 5, corrupted three ways; each
+    failure is named at its earliest cycle."""
+    c, _ = buggy_counter()
+    clear_caches()
+    result = sequential_atpg(c, 6)
+    trace = result.trace
+    assert [sum(s[f"cnt[{i}]"] << i for i in range(4))
+            for s in trace.states] == [0, 1, 2, 3, 4, 5]
+    initial = {f"cnt[{i}]": 0 for i in range(4)}
+    _check_trace(c, trace, {}, False, initial=initial)
+    # 1. An active register off its initial value.
+    with pytest.raises(AssertionError, match=(
+        r"^trace/initial-state mismatch for 'cnt\[0\]': trace 1, "
+        r"initial value 0$"
+    )):
+        _check_trace(c, flipped(trace, (0, "cnt[0]")), {}, False,
+                     initial=initial)
+    # ... unless it is free in the queried model.
+    _check_trace(c, flipped(trace, (0, "cnt[0]")), {}, False,
+                 active={"cnt[2]", "cnt[3]"}, initial=initial)
+    # 2. A state its register's next-state function does not produce.
+    state_bad = flipped(trace, (4, "cnt[2]"), (3, "cnt[1]"))
+    with pytest.raises(AssertionError, match=(
+        r"^trace/simulation mismatch for state 'cnt\[1\]' at cycle 3: "
+        r"trace 0, simulated 1$"
+    )):
+        _check_trace(c, state_bad, {}, False)
+    # 3. A cube the run does not meet.
+    cubes = {1: {"cnt[0]": 1}, 2: {"cnt[1]": 0}, 4: {"cnt[2]": 0}}
+    with pytest.raises(AssertionError, match=(
+        r"^cube/simulation mismatch for 'cnt\[1\]' at cycle 2: cube 0, "
+        r"simulated 1$"
+    )):
+        _check_trace(c, trace, cubes, False)
+    # The earliest cycle wins across kinds; within a cycle the state is
+    # checked before the cube.
+    with pytest.raises(AssertionError, match="cube/.* at cycle 2"):
+        _check_trace(c, state_bad, cubes, False)
+    with pytest.raises(AssertionError, match="state 'cnt.0.' at cycle 2"):
+        _check_trace(c, flipped(trace, (2, "cnt[0]")), cubes, False)
+    # Signals outside the circuit: skipped on request, an error otherwise.
+    _check_trace(c, trace, {0: {"elsewhere": 1}}, True)
+    with pytest.raises(KeyError):
+        _check_trace(c, trace, {0: {"elsewhere": 1}}, False)
+
+
+def test_one_settle_check_matches_stepped_simulation():
+    """On fuzz instances, random corruptions of ATPG traces under random
+    active sets and cubes fail (or pass) the one-settle check exactly as
+    a cycle-by-cycle interpreted simulation does, naming the same
+    earliest failure."""
+    rng = random.Random(19)
+    checked = Counter()
+    for seed in SEEDS:
+        c = generate_instance(seed, GenConfig()).circuit
+        clear_caches()
+        result = sequential_atpg(c, 5)
+        if not result.found:
+            continue
+        registers = list(c.registers)
+        signals = sorted(Simulator(c).evaluate({}, {}))
+        initial = Unroller.initial_values(c)
+        for _ in range(12):
+            trace = flipped(result.trace, *{
+                (rng.randrange(5), rng.choice(registers))
+                for _ in range(rng.randrange(3))
+            })
+            active = set(rng.sample(registers, rng.randrange(
+                len(registers) + 1)))
+            frames = Simulator(c).run(trace.inputs, trace.states[0])
+            cubes = {}
+            for cycle in rng.sample(range(5), 2):
+                name = rng.choice(signals)
+                cubes[cycle] = {name: frames[cycle][name] ^ (
+                    rng.random() < 0.3)}
+            got = TraceValuation(c, trace).mismatch(cubes, active, initial)
+            assert got == stepped_check(c, trace, cubes, active, initial)
+            checked[got.split(" ")[0] if got else "ok"] += 1
+    assert set(checked) == {"ok", "trace/initial-state",
+                            "trace/simulation", "cube/simulation"}
+
+
+# ---------------------------------------------------------------------
+# Witness answers
+# ---------------------------------------------------------------------
+
+
+def witness_on(circuit, states):
+    """A witness holding the given run of ``circuit``."""
+    witness = Witness(circuit)
+    witness.valuation = TraceValuation(circuit, Trace(
+        states=states, inputs=[{} for _ in states],
+        circuit_name=circuit.name,
+    ))
+    return witness
+
+
+def test_witness_answers_only_when_every_condition_holds():
+    c = toggle_and_stuck()
+    both = {"q", "p"}
+    good = witness_on(c, [{"q": 0, "p": 0}, {"q": 1, "p": 0}])
+    assert good.satisfies({0: {"q": 0}, 1: {"q": 1, "p": 0}}, both)
+    # Only (1) fails: q starts at 1, then toggles correctly.
+    w = witness_on(c, [{"q": 1, "p": 0}, {"q": 0, "p": 0}])
+    assert not w.satisfies({}, both)
+    assert w.satisfies({}, {"p"})  # q inactive: free
+    # Only (2) fails: q starts at 0, then does not toggle.
+    w = witness_on(c, [{"q": 0, "p": 0}, {"q": 0, "p": 0}])
+    assert not w.satisfies({}, both)
+    assert w.satisfies({}, {"p"})
+    # Only (3) fails: the run misses one cube literal.
+    assert not good.satisfies({1: {"q": 0}}, both)
+    assert not good.satisfies({0: {"q": 0}, 1: {"p": 1}}, both)
+    # Nothing to answer from before the first satisfiable solve.
+    assert not Witness(c).satisfies({}, both)
+
+
+def test_witness_answers_a_probe_its_trace_meets(
+    error_flag_step, monkeypatch
+):
+    """The first probe solves and hands its trace over; a probe the
+    trace meets is answered without a solve, one it does not (the
+    unsatisfiable all-candidates probe) still solves."""
+    abstraction, trace, candidates = error_flag_step
+    clear_caches()
+    coi = coi_circuit(abstraction.original, abstraction.prop.signals())
+    solves = []
+    real = refine_mod.sequential_atpg
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs["active"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(refine_mod, "sequential_atpg", counted)
+    witness = Witness(coi)
+    kept = abstraction.kept_registers
+
+    def probe(active):
+        return trace_satisfiable_on(coi, trace, active=active,
+                                    witness=witness)
+
+    assert probe(kept) is AtpgOutcome.TRACE_FOUND
+    assert (len(solves), witness.answered) == (1, 0)
+    assert probe(kept) is AtpgOutcome.TRACE_FOUND
+    assert (len(solves), witness.answered) == (1, 1)
+    assert probe(kept.union(candidates)) is AtpgOutcome.UNSATISFIABLE
+    assert (len(solves), witness.answered) == (2, 1)
+
+
+def test_iu1_answers_probes_from_witnesses(traced):
+    """Table 2's IU1 at seed 0 (the benchmark's permutation, two CEGAR
+    iterations): the ``refine.phase2`` spans show probes answered from
+    a witness, and every minimisation's first probe solved."""
+    from repro.obs.report import render_report
+
+    row = next(w for w in table2_workloads() if w.name == "IU1")
+    circuit = permute_registers(reorder_inputs(
+        permute_gates(row.circuit, seed=0), seed=0), seed=0)
+    clear_caches()
+    CoverageAnalyzer(circuit, row.signals, CoverageConfig(
+        max_iterations=2, max_seconds=None)).run()
+    records = traced.records()
+    phase2 = [r["attrs"] for r in records if r.get("type") == "span"
+              and r["name"] == "refine.phase2"]
+    assert phase2
+    for attrs in phase2:
+        assert attrs["probes"] == attrs["solved"] + attrs["answered"]
+        assert attrs["solved"] >= 1
+        assert attrs["kept"] <= attrs["candidates"]
+    assert sum(attrs["answered"] for attrs in phase2) >= 1
+    assert "  refine.phase2: " in render_report(records)
 
 
 # ---------------------------------------------------------------------
